@@ -1,13 +1,15 @@
 /**
  * @file
  * Google-benchmark microbenchmarks for the hot structures: trace
- * signature updates, predictor touch/learn paths, the event queue, and
- * end-to-end simulated-cycles-per-wall-second for a small system.
+ * signature updates, predictor touch/learn paths, the event queue, a
+ * congested router hop, and end-to-end simulated-cycles-per-wall-second
+ * for a small system.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "dsm/experiment.hh"
+#include "net/topo/routed_network.hh"
 #include "predictor/last_pc.hh"
 #include "predictor/ltp_global.hh"
 #include "predictor/ltp_per_block.hh"
@@ -81,6 +83,50 @@ BM_EventQueueScheduleRun(benchmark::State &state)
     }
 }
 BENCHMARK(BM_EventQueueScheduleRun);
+
+/**
+ * Router hop under backlog: one bounded link (2-node mesh, adaptive
+ * routing, depth-1 VCs) with N requests queued on its adaptive VC. The
+ * adaptive VC's head is blocked most of the time, so each credit return
+ * drains the link by rerouting the oldest request onto the escape VC
+ * and granting it. One network serves every iteration, so pool slabs
+ * and FIFO blocks are warm. Reports host time per grant (one drain
+ * each) over the whole backlog, including the message's NI and arrival
+ * events; the arbitration reads VC FIFO heads only, so this stays flat
+ * in N.
+ */
+void
+BM_RouterCongestedDrain(benchmark::State &state)
+{
+    const auto n = std::size_t(state.range(0));
+    EventQueue eq;
+    StatGroup stats;
+    NetworkParams p;
+    p.topology = TopologyKind::Mesh2D;
+    p.routing = RoutingPolicy::MinimalAdaptive;
+    p.vcDepth = 1;
+    RoutedNetwork net(eq, 2, p, stats);
+    net.setSink(1, [](const Message &) {});
+    const Counter &grants = stats.counter("net.hops");
+
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < n; ++i) {
+            Message m;
+            m.type = MsgType::GetS;
+            m.src = 0;
+            m.dst = 1;
+            m.addr = Addr(i);
+            net.send(m);
+        }
+        eq.run();
+        benchmark::DoNotOptimize(eq.eventsExecuted());
+    }
+    // Grants per second of timed loop, inverted: seconds per drain.
+    state.counters["time_per_drain"] = benchmark::Counter(
+        double(grants.value()),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RouterCongestedDrain)->RangeMultiplier(16)->Range(16, 4096);
 
 void
 BM_EndToEndEm3d(benchmark::State &state)

@@ -15,7 +15,7 @@ NiInterconnect::NiInterconnect(SimContext &ctx, NodeId num_nodes,
       pool_(ctx.numShards()),
       niEgressFree_(num_nodes, 0),
       ingressQueue_(num_nodes),
-      ingressBusy_(num_nodes, false),
+      ingressBusy_(num_nodes, 0),
       sinks_(num_nodes)
 {
     unsigned shards = ctx_->numShards();
@@ -96,7 +96,7 @@ NiInterconnect::arriveAtIngress(MsgHandle h)
         return;
     }
     // Idle NI: service starts immediately — skip the queue round-trip.
-    ingressBusy_[dst] = true;
+    ingressBusy_[dst] = 1;
     serveIngress(dst, h);
 }
 
@@ -110,7 +110,7 @@ NiInterconnect::serveIngress(NodeId node, MsgHandle h)
         deliver(h);
         std::deque<MsgHandle> &queue = ingressQueue_[node];
         if (queue.empty()) {
-            ingressBusy_[node] = false;
+            ingressBusy_[node] = 0;
             return;
         }
         MsgHandle next = queue.front();

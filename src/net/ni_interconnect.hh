@@ -22,6 +22,7 @@
 #define LTP_NET_NI_INTERCONNECT_HH
 
 #include <cassert>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -119,8 +120,10 @@ class NiInterconnect : public Interconnect
     std::vector<Tick> niEgressFree_;
     /** Per-ingress-NI FIFO of arrived-but-undelivered messages. */
     std::vector<std::deque<MsgHandle>> ingressQueue_;
-    /** True while an ingress NI drain event is scheduled. */
-    std::vector<bool> ingressBusy_;
+    /** Nonzero while an ingress NI drain event is scheduled. One byte
+     *  per node, not vector<bool>: shards set the flags of different
+     *  nodes concurrently, and packed bits would share a word. */
+    std::vector<std::uint8_t> ingressBusy_;
     std::vector<Sink> sinks_;
 };
 

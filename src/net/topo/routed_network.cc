@@ -61,6 +61,7 @@ RoutedNetwork::RoutedNetwork(SimContext &ctx, NodeId num_nodes,
             link.to = to;
             link.dim = std::uint8_t(geom_.linkDim(from, to));
             link.wrap = geom_.isWrapLink(from, to);
+            link.vcq.resize(numVcs_);
             if (bounded())
                 link.credits.assign(numVcs_, params_.vcDepth);
             link.msgs = &stats.counter(linkStatName("linkMsgs", from, to));
@@ -131,7 +132,7 @@ std::size_t
 RoutedNetwork::congestion(std::size_t l)
 {
     const Link &link = links_[l];
-    std::size_t score = link.q.size() + (linkIdle(link) ? 0 : 1);
+    std::size_t score = link.waiting + (linkIdle(link) ? 0 : 1);
     if (bounded()) {
         // Count the filled downstream slots too: a drained queue whose
         // buffers are full is still a poor choice.
@@ -183,15 +184,41 @@ RoutedNetwork::forward(NodeId at, MsgHandle h, std::int32_t in_link,
         l = routeLink(at, cands[pick]);
         vc = adaptiveVc(links_[l]);
     }
-    enqueue(l, Entry{h, vc, in_link, in_vc});
+    enqueue(l, Entry{.h = h, .inLink = in_link, .vc = vc, .inVc = in_vc});
 }
 
 void
 RoutedNetwork::enqueue(std::size_t l, Entry e)
 {
     Link &link = links_[l];
-    link.q.push_back(std::move(e));
+    e.seq = link.nextSeq++;
+    link.vcq[e.vc].push_back(e);
+    ++link.waiting;
     pump(l);
+}
+
+int
+RoutedNetwork::oldestHead(const Link &link, unsigned first_vc,
+                          bool need_credit) const
+{
+    int best = -1;
+    for (unsigned vc = first_vc; vc < numVcs_; ++vc) {
+        const std::deque<Entry> &fifo = link.vcq[vc];
+        if (fifo.empty() || (need_credit && !hasCredit(link, vc)))
+            continue;
+        if (best < 0 || fifo.front().seq < link.vcq[best].front().seq)
+            best = int(vc);
+    }
+    return best;
+}
+
+RoutedNetwork::Entry
+RoutedNetwork::popHead(Link &link, unsigned vc)
+{
+    Entry e = link.vcq[vc].front();
+    link.vcq[vc].pop_front();
+    --link.waiting;
+    return e;
 }
 
 void
@@ -214,7 +241,7 @@ void
 RoutedNetwork::armEngine(std::size_t l)
 {
     Link &link = links_[l];
-    if (link.armed || link.q.empty())
+    if (link.armed || link.waiting == 0)
         return;
     link.armed = true;
     q(link.from).scheduleAt(link.freeAt, [this, l] {
@@ -237,64 +264,53 @@ RoutedNetwork::drainLink(std::size_t l)
     // Batched drain: one event retires every grant whose outcome is
     // already decided, walking a virtual clock `start` forward by one
     // serialization per grant. The first grant happens at real time
-    // (start == now) with exactly the old single-grant arbitration.
+    // (start == now) with the full single-grant arbitration below.
     // Later grants happen at virtual times, where only one decision is
     // provably identical to what a real drain event at that tick would
-    // make: granting a *credited head*. Credits seen here are a lower
-    // bound (returns landing inside (now, start] are invisible to the
-    // batch, and a return can never be *lost*), so a head credited
-    // under the batch's view is credited for the real event too — and
-    // being the head, it is the entry the scan would pick. Everything
-    // else — a blocked head with a credited later entry (the real
-    // event might instead grant the freshly-credited head), an
-    // uncredited queue (the real event might grant or escape-reroute) —
-    // ends the batch; armEngine re-decides at freeAt with fresh state.
-    // Grant outcomes, ticks and VCs are therefore identical to the
+    // make: granting the *oldest request* because its VC is credited.
+    // Credits seen here are a lower bound (returns landing inside
+    // (now, start] are invisible to the batch, and a return can never
+    // be *lost*), so an oldest request credited under the batch's view
+    // is credited for the real event too — and being the oldest, it is
+    // the entry the real event would pick. Everything else — a credited
+    // VC overtaking a blocked oldest request (the real event might
+    // instead grant the freshly-credited oldest one), no credited VC at
+    // all (the real event might grant or escape-reroute) — ends the
+    // batch; armEngine re-decides at freeAt with fresh state. Grant
+    // outcomes, ticks and VCs are therefore identical to the
     // one-event-per-grant engine; only the posting event differs.
     Tick now = q(link.from).now();
     Tick start = now;
     for (;;) {
-        // Grant the first request whose VC has a free downstream slot.
-        // Later entries of *other* VCs may overtake a blocked head (that
+        int oldest = oldestHead(link, 0, false);
+        if (oldest < 0)
+            break; // drained
+        // Grant the oldest request whose VC has a free downstream slot.
+        // Later requests of *other* VCs may overtake a blocked one (that
         // is what virtual channels are for); same-VC order is preserved
-        // because the scan always reaches the earlier entry first.
-        std::size_t i = 0;
-        for (; i < link.q.size(); ++i) {
-            if (hasCredit(link, link.q[i].vc))
-                break;
-        }
-        if (i < link.q.size()) {
-            if (start != now && i != 0)
-                break; // virtual-time overtake: re-decide at freeAt
-            Entry e = std::move(link.q[i]);
-            link.q.erase(link.q.begin() +
-                         std::deque<Entry>::difference_type(i));
-            grantAt(l, std::move(e), start);
+        // because only FIFO heads are candidates. An overtake is a real-
+        // time decision only: at a virtual time it must be re-made at
+        // freeAt, as must the case where no VC is credited.
+        int vc = oldest;
+        if (!hasCredit(link, unsigned(oldest)))
+            vc = start == now ? oldestHead(link, 0, true) : -1;
+        if (vc >= 0) {
+            grantAt(l, popHead(link, unsigned(vc)), start);
             start = link.freeAt;
-            if (link.q.empty())
-                break;
             continue;
         }
-
         if (start != now)
-            break; // credit view exhausted: re-decide at freeAt
+            break; // virtual time: re-decide at freeAt
 
         // Nothing can move. Duato-style escape: hand the oldest blocked
         // adaptive request over to the deadlock-free dimension-order
-        // path, then rescan (in-place downgrades may now be grantable).
-        std::size_t blocked = link.q.size();
-        for (std::size_t j = 0; j < link.q.size(); ++j) {
-            if (isAdaptiveVc(link.q[j].vc)) {
-                blocked = j;
-                break;
-            }
-        }
-        if (blocked == link.q.size())
+        // path, then re-arbitrate (a same-link downgrade may now be
+        // grantable).
+        int blocked = oldestHead(link, escapeVcs_, false);
+        if (blocked < 0)
             break; // only escape traffic left; credits will re-kick us
 
-        Entry e = std::move(link.q[blocked]);
-        link.q.erase(link.q.begin() +
-                     std::deque<Entry>::difference_type(blocked));
+        Entry e = popHead(link, unsigned(blocked));
         const Message &msg = pool().at(e.h);
         escapeReroutes_[ctx().shardOf(link.from)]->inc();
         obs::Tracer::instant(obs::Cat::Link, link.from, "escape reroute",
@@ -302,12 +318,18 @@ RoutedNetwork::drainLink(std::size_t l)
         NodeId dor = geom_.nextHop(link.from, msg.dst);
         e.vc = escapeVc(link.from, dor, msg);
         std::size_t el = routeLink(link.from, dor);
-        if (el == l)
-            link.q.insert(link.q.begin() +
-                              std::deque<Entry>::difference_type(blocked),
-                          std::move(e));
-        else
-            enqueue(el, std::move(e));
+        if (el == l) {
+            // Same link: the request keeps its arrival number, so it
+            // takes its request-order place in the escape FIFO, ahead
+            // of every escape request that arrived after it.
+            std::deque<Entry> &fifo = link.vcq[e.vc];
+            auto older = [&e](const Entry &x) { return x.seq < e.seq; };
+            auto at = std::partition_point(fifo.begin(), fifo.end(), older);
+            fifo.insert(at, e);
+            ++link.waiting;
+        } else {
+            enqueue(el, e);
+        }
     }
 
     link.draining = false;
@@ -316,7 +338,7 @@ RoutedNetwork::drainLink(std::size_t l)
     // drain at freeAt <= now would re-run this same arbitration in the
     // same tick forever. The credit return (scheduleCreditReturn) or
     // the next enqueue() pumps the link instead, as before batching.
-    if (!link.q.empty() && !linkIdle(link))
+    if (link.waiting != 0 && !linkIdle(link))
         armEngine(l);
 }
 
@@ -459,10 +481,12 @@ RoutedNetwork::guardCheckQuiesce() const
         const Link &link = links_[l];
         std::string where = "link " + std::to_string(link.from) + "->" +
                             std::to_string(link.to);
-        if (!link.q.empty()) {
-            const Message &first = pool().at(link.q.front().h);
+        if (link.waiting != 0) {
+            const Entry &oldest =
+                link.vcq[unsigned(oldestHead(link, 0, false))].front();
+            const Message &first = pool().at(oldest.h);
             throw guard::CheckFailure(
-                where + " still holds " + std::to_string(link.q.size()) +
+                where + " still holds " + std::to_string(link.waiting) +
                 " waiting message(s) at quiesce (first: " +
                 msgTypeName(first.type) + " " + std::to_string(first.src) +
                 "->" + std::to_string(first.dst) + ")");

@@ -110,8 +110,8 @@ class RoutedNetwork : public NiInterconnect
      * link must be drained (no waiting messages, no parked reorder
      * entries) and every credit returned (credits == vcDepth on every
      * (link, VC) when bounded). Throws guard::CheckFailure naming the
-     * offending link otherwise. Call only after runUntil() returned
-     * with the simulation quiescent.
+     * offending link and its oldest waiting message otherwise. Call
+     * only after runUntil() returned with the simulation quiescent.
      */
     void guardCheckQuiesce() const;
 
@@ -120,13 +120,16 @@ class RoutedNetwork : public NiInterconnect
                   NetworkParams params);
 
     /** A message waiting in an input buffer for one output link —
-     *  16 bytes of handle + routing state, not a 56-byte Message copy. */
+     *  24 bytes of handle + routing state, not a 56-byte Message copy. */
     struct Entry
     {
         MsgHandle h;
-        std::uint8_t vc = 0;     //!< VC requested on this output link
+        /** Link-local arrival number: request order across the link's
+         *  VC FIFOs (set by enqueue(); kept by a same-link escape). */
+        std::uint64_t seq = 0;
         std::int32_t inLink = -1; //!< upstream link whose buffer holds the
                                   //!< message (-1: injection queue)
+        std::uint8_t vc = 0;      //!< VC requested on this output link
         std::uint8_t inVc = 0;
     };
 
@@ -139,6 +142,13 @@ class RoutedNetwork : public NiInterconnect
      * that tick only while traffic is actually waiting (`armed`). An
      * uncongested grant therefore schedules no bookkeeping event at
      * all — the arrival post is the only event per hop.
+     *
+     * Waiting messages sit in one FIFO per requested VC. Every entry is
+     * stamped with the link's next arrival number (`nextSeq`), so each
+     * FIFO is sorted by `seq` and request order across the link is the
+     * merge of the FIFOs by `seq`: the oldest request of any VC subset
+     * is the smallest-`seq` head among those VCs. Arbitration therefore
+     * reads at most numVcs heads per decision, never the whole backlog.
      */
     struct Link
     {
@@ -146,7 +156,10 @@ class RoutedNetwork : public NiInterconnect
         NodeId to = invalidNode;
         std::uint8_t dim = 0; //!< 0 = X, 1 = Y
         bool wrap = false;    //!< crosses the torus/ring dateline
-        std::deque<Entry> q;  //!< waiting messages, request order
+        /** Waiting messages per requested VC, each ascending in seq. */
+        std::vector<std::deque<Entry>> vcq;
+        std::size_t waiting = 0;   //!< entries across all of vcq
+        std::uint64_t nextSeq = 0; //!< seq of the next enqueue()
         Tick freeAt = 0;      //!< serializing until this tick
         bool armed = false;   //!< drain event scheduled at freeAt
         bool draining = false; //!< re-entrancy guard for drainLink()
@@ -180,7 +193,6 @@ class RoutedNetwork : public NiInterconnect
         return std::size_t(src) * numNodes() + dst;
     }
 
-    bool isAdaptiveVc(unsigned vc) const { return vc >= escapeVcs_; }
     bool hasCredit(const Link &link, unsigned vc) const
     {
         return !bounded() || link.credits[vc] > 0;
@@ -205,16 +217,27 @@ class RoutedNetwork : public NiInterconnect
     void forward(NodeId at, MsgHandle h, std::int32_t in_link,
                  std::uint8_t in_vc);
     void enqueue(std::size_t l, Entry e);
+    /**
+     * VC whose FIFO head is the oldest request among VCs
+     * [@p first_vc, numVcs) — only credited ones when @p need_credit;
+     * -1 when there is none. O(numVcs).
+     */
+    int oldestHead(const Link &link, unsigned first_vc,
+                   bool need_credit) const;
+    /** Remove and return the head of @p link's VC @p vc FIFO. */
+    Entry popHead(Link &link, unsigned vc);
     /** Arbitrate now if the link is idle, else arm the link engine. */
     void pump(std::size_t l);
     /** Schedule the coalesced drain event at freeAt (once). */
     void armEngine(std::size_t l);
     /**
      * Batched arbitration: retire the link's entire provably-ordered
-     * eligible queue in one event — repeated head grants at advancing
-     * virtual start times — stopping at the first decision (a skipped
-     * head, an exhausted credit view, an escape candidate) that a real
-     * drain event at freeAt must re-make with fresh credit state.
+     * eligible queue in one event — repeated grants of the oldest
+     * request at advancing virtual start times — stopping at the first
+     * decision (an overtake of the oldest request, an exhausted credit
+     * view, an escape candidate) that a real drain event at freeAt must
+     * re-make with fresh credit state. Each decision compares the VC
+     * FIFO heads only: O(numVcs), whatever the backlog.
      * @pre link is idle.
      */
     void drainLink(std::size_t l);
