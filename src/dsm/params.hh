@@ -61,10 +61,10 @@ struct SystemParams
      * Simulation worker threads (not simulated processors!). Each
      * thread owns a contiguous shard of the nodes and runs it under the
      * parallel engine's conservative windows (src/sim/par/). Results
-     * are bit-identical for every value; configurations with a
-     * zero-lookahead cross-node coupling (Active predictors' directory
-     * verification feedback) fall back to one thread. 1 = the classic
-     * sequential engine.
+     * are bit-identical for every value, 1 included (one shard on the
+     * calling thread). Active predictors run on one shard whatever
+     * this asks for: their directory verification feedback is a
+     * zero-lookahead cross-node call (ShardPlan::singleShardReason).
      */
     unsigned simThreads = 1;
 

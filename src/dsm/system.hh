@@ -36,7 +36,7 @@
 #include "proto/dir_controller.hh"
 #include "sim/event_queue.hh"
 #include "sim/par/lookahead.hh"
-#include "sim/par/sim_context.hh"
+#include "sim/par/parallel_scheduler.hh"
 #include "sim/stats.hh"
 
 namespace ltp
@@ -71,7 +71,7 @@ struct RunResult
     std::uint64_t memOps = 0;
     /** Discrete events executed by the simulation core (perf tracking). */
     std::uint64_t eventsExecuted = 0;
-    /** Partitions the engine actually ran (1 = sequential fallback). */
+    /** Partitions the engine actually ran (see ShardPlan). */
     unsigned simShards = 1;
 
     // Prediction-accuracy accounting (Figures 6-8). The denominator is
@@ -164,14 +164,13 @@ class DsmSystem
 
     const SystemParams &params() const { return params_; }
     /**
-     * Whole-run statistics. Under the canonical engine this is a
-     * merged snapshot rebuilt on every call: references stay valid
-     * across calls, but treat it as read-only — writes are discarded by
-     * the next rebuild. To register custom stats, use
+     * Whole-run statistics, a merged snapshot rebuilt on every call.
+     * References stay valid across calls, but treat it as read-only —
+     * writes are discarded by the next rebuild. To register custom stats, use
      * simContext().shardStats() before the run instead.
      */
     StatGroup &stats() { return sim_->stats(); }
-    /** Node 0's event queue — the only queue on a sequential run. */
+    /** Node 0's event queue — the only queue on a one-shard run. */
     EventQueue &eventQueue() { return sim_->queueFor(0); }
     /** The engine (sharding, window width) this system runs on. */
     const ShardPlan &shardPlan() const { return plan_; }
@@ -189,7 +188,7 @@ class DsmSystem
 
     SystemParams params_;
     ShardPlan plan_;
-    std::unique_ptr<SimContext> sim_;
+    std::unique_ptr<ParallelScheduler> sim_;
     HomeMap homes_;
     MemoryValues mem_;
     std::unique_ptr<AddressSpace> as_;

@@ -48,7 +48,7 @@ class NiInterconnect : public Interconnect
     NiInterconnect(SimContext &ctx, NodeId num_nodes,
                    NetworkParams params);
 
-    /** Sequential-engine convenience: owns a context over @p eq/@p stats. */
+    /** Standalone use: owns a SequentialContext over @p eq/@p stats. */
     NiInterconnect(EventQueue &eq, NodeId num_nodes, NetworkParams params,
                    StatGroup &stats);
 

@@ -6,7 +6,6 @@
 
 #include "net/network.hh"
 #include "net/topo/routed_network.hh"
-#include "sim/par/sim_context.hh"
 
 namespace ltp
 {
@@ -54,46 +53,32 @@ validateNetworkParams(const NetworkParams &params, NodeId num_nodes)
     }
 }
 
-NetLookahead
+Tick
 networkLookahead(const NetworkParams &params)
 {
-    NetLookahead la;
     if (params.topology == TopologyKind::PointToPoint) {
         // Delivery is scheduled egress-serialization + flight ahead of
         // the send event.
-        la.ticks = params.flightLatency +
-                   std::min(params.controlOccupancy, params.dataOccupancy);
-    } else {
-        if (params.linkBandwidth == 0) {
-            // Invalid; reported properly by validateNetworkParams —
-            // just avoid dividing by it here.
-            la.serialReason = "linkBandwidth must be > 0 bytes/cycle";
-            return la;
-        }
-        Tick ser_min = (params.headerBytes + params.linkBandwidth - 1) /
-                       params.linkBandwidth;
-        la.ticks =
-            ser_min + params.hopLatency + params.routerLatency;
-        // Credit returns travel one wire hop back upstream.
-        if (params.vcDepth > 0)
-            la.ticks = std::min(la.ticks, params.hopLatency);
+        return params.flightLatency +
+               std::min(params.controlOccupancy, params.dataOccupancy);
     }
-    if (la.ticks == 0) {
-        la.serialReason =
-            "interconnect timing leaves no cross-node lookahead";
-    }
-    return la;
+    // Invalid; reported properly by validateNetworkParams — just avoid
+    // dividing by it here.
+    if (params.linkBandwidth == 0)
+        return 0;
+    Tick ser_min = (params.headerBytes + params.linkBandwidth - 1) /
+                   params.linkBandwidth;
+    Tick ticks = ser_min + params.hopLatency + params.routerLatency;
+    // Credit returns travel one wire hop back upstream.
+    if (params.vcDepth > 0)
+        ticks = std::min(ticks, params.hopLatency);
+    return ticks;
 }
 
 std::unique_ptr<Interconnect>
 makeInterconnect(SimContext &ctx, NodeId num_nodes, NetworkParams params)
 {
     validateNetworkParams(params, num_nodes);
-    if (ctx.numShards() > 1 && networkLookahead(params).ticks == 0) {
-        throw std::logic_error(
-            "multi-shard context with a serial-only interconnect "
-            "configuration (resolveShardPlan should have caught this)");
-    }
     if (params.topology == TopologyKind::PointToPoint)
         return std::make_unique<Network>(ctx, num_nodes, params);
     return std::make_unique<RoutedNetwork>(ctx, num_nodes, params);

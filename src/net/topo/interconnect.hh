@@ -80,20 +80,9 @@ struct NetworkParams
 void validateNetworkParams(const NetworkParams &params, NodeId num_nodes);
 
 /**
- * The interconnect's guaranteed minimum cross-node latency — the
- * conservative lookahead the parallel engine's windows are built on.
- */
-struct NetLookahead
-{
-    /** Minimum ticks between any cross-node cause and its effect; 0
-     *  when the model cannot shard at all. */
-    Tick ticks = 0;
-    /** Why the model is serial-only (set iff ticks == 0). */
-    const char *serialReason = nullptr;
-};
-
-/**
- * Export the lookahead of the model @p params selects.
+ * The interconnect's guaranteed minimum cross-node latency in ticks —
+ * the conservative lookahead the parallel engine's windows are built
+ * on (0 when the timing knobs leave none, or linkBandwidth is invalid).
  *
  * Point-to-point: egress serialization + wire flight. Routed: every
  * cross-router interaction is at least one link serialization plus the
@@ -102,7 +91,7 @@ struct NetLookahead
  * oblivious routing's coin flips are counter-based pure hashes of
  * (src, dst, netSeq, router), not a shared stream.
  */
-NetLookahead networkLookahead(const NetworkParams &params);
+Tick networkLookahead(const NetworkParams &params);
 
 /**
  * Abstract message transport between DSM nodes.
@@ -136,7 +125,7 @@ std::unique_ptr<Interconnect> makeInterconnect(SimContext &ctx,
                                                NodeId num_nodes,
                                                NetworkParams params);
 
-/** Sequential-engine convenience overload (standalone drivers/tests). */
+/** Standalone overload over one borrowed queue (drivers/tests). */
 std::unique_ptr<Interconnect> makeInterconnect(EventQueue &eq,
                                                NodeId num_nodes,
                                                NetworkParams params,

@@ -1,6 +1,7 @@
 #include "sim/par/lookahead.hh"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace ltp
 {
@@ -8,34 +9,22 @@ namespace ltp
 ShardPlan
 resolveShardPlan(const LookaheadInputs &in)
 {
-    ShardPlan plan;
-    plan.shards = 1;
-
-    if (in.zeroLookaheadCoupling) {
-        plan.serialReason = in.zeroLookaheadCoupling;
-        return plan;
-    }
     if (in.netLookahead == 0) {
-        plan.serialReason = in.netSerialReason
-                                ? in.netSerialReason
-                                : "interconnect has no cross-node lookahead";
-        return plan;
+        throw std::invalid_argument(
+            "interconnect timing leaves no cross-node lookahead");
+    }
+    if (in.barrierLatency == 0) {
+        // Barrier wakeups are posted barrierLatency ticks after the
+        // last arrival, so they bound the window alongside the network.
+        throw std::invalid_argument(
+            "barrierLatency must be >= 1 tick (it bounds the engine's "
+            "lookahead window)");
     }
 
-    // Barrier wakeups are posted barrierLatency ticks after the last
-    // arrival, so they bound the window alongside the network.
-    Tick window = std::min(in.netLookahead, in.barrierLatency);
-    if (window < 1) {
-        plan.serialReason = "zero barrier latency leaves no lookahead";
-        return plan;
-    }
-
-    // A safe configuration always runs the canonical engine, even when
-    // only one thread is requested: a 1-shard canonical run is what the
-    // shards {1, 2, 4, ...} bit-identity guarantee is anchored on.
+    ShardPlan plan;
     plan.shards = std::max(1u, std::min<unsigned>(in.requestedThreads,
                                                   in.numNodes));
-    plan.window = window;
+    plan.window = std::min(in.netLookahead, in.barrierLatency);
     return plan;
 }
 

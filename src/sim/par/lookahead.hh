@@ -11,20 +11,18 @@
  *
  *  - the network's exported lookahead (networkLookahead() in
  *    net/topo/interconnect.hh, passed in here as a plain number so the
- *    sim layer stays below net),
+ *    sim layer stays below net), and
  *  - the sync domain's barrier latency (barrier wakeups are the other
- *    cross-shard channel), and
- *  - system couplings with *zero* lookahead, which force the serial
- *    fallback: an Active predictor's directory-verification feedback is
- *    wired combinationally from the home directory into the
- *    self-invalidating node's predictor. (Oblivious routing used to be
- *    the other such coupling — its shared RNG was replaced by pure
- *    counter-based per-(src, dst) streams, so it now shards.)
+ *    cross-shard channel).
  *
- * The fallback is not a failure mode: a plan with shards == 1 simply
- * runs the historical sequential engine, so every configuration remains
- * supported and bit-reproducible; only configurations whose couplings
- * all have >= 1 cycle of lookahead execute on multiple threads.
+ * Both must be at least one tick: a configuration without lookahead is
+ * rejected, not run on some other engine. Every run uses the same
+ * canonical engine; the plan only decides its shard count and window.
+ * A caller that knows of a coupling the windows cannot span (an Active
+ * predictor's directory-verification feedback, a direct cross-node
+ * call) clamps the plan to one shard and records why in
+ * ShardPlan::singleShardReason — on one shard such a call needs no
+ * lookahead.
  */
 
 #ifndef LTP_SIM_PAR_LOOKAHEAD_HH
@@ -42,33 +40,30 @@ struct LookaheadInputs
 {
     unsigned requestedThreads = 1;
     NodeId numNodes = 1;
-    /** Minimum cross-node latency of the interconnect model; 0 when the
-     *  model cannot shard at all (serialReason explains why). */
+    /** Minimum cross-node latency of the interconnect model. */
     Tick netLookahead = 0;
-    const char *netSerialReason = nullptr;
     /** SyncDomain release delay (barrier wakeups cross shards). */
     Tick barrierLatency = 0;
-    /** Set when the run has a zero-lookahead cross-node coupling above
-     *  the network (Active predictor verification feedback). */
-    const char *zeroLookaheadCoupling = nullptr;
 };
 
 /** The engine configuration a run will actually use. */
 struct ShardPlan
 {
     unsigned shards = 1; //!< partitions/threads the engine runs
-    Tick window = 0;     //!< conservative window width L (canonical only)
-    /** Why the run fell back to the plain sequential engine (empty for
-     *  the canonical engine, whatever the shard count). */
-    std::string serialReason;
+    Tick window = 0;     //!< conservative window width L
+    /** Why the run is held to one shard whatever simThreads asks for
+     *  (empty when the shard count follows the request). */
+    std::string singleShardReason;
 
-    /** True when the canonical windowed engine runs (any shard count). */
-    bool canonical() const { return serialReason.empty(); }
     /** True when more than one worker thread actually executes. */
     bool parallel() const { return shards > 1; }
 };
 
-/** Decide shards and window width for a run. */
+/**
+ * Decide shards and window width for a run. Throws
+ * std::invalid_argument when the network or the barrier latency leaves
+ * no lookahead (a window of zero ticks).
+ */
 ShardPlan resolveShardPlan(const LookaheadInputs &in);
 
 } // namespace ltp

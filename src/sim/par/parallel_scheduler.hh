@@ -4,8 +4,8 @@
  * parallel discrete-event engine.
  *
  * Nodes are split into S contiguous partitions, each owning a private
- * EventQueue and StatGroup. Intra-shard events execute exactly as in
- * the sequential engine; cross-shard interactions — which only occur
+ * EventQueue and StatGroup. Intra-shard events execute in their
+ * queue's own order; cross-shard interactions — which only occur
  * through SimContext::post(), every one of them at least the lookahead
  * window L beyond its cause — are exchanged at window barriers through
  * lock-free SPSC mailbox lanes.
@@ -73,7 +73,7 @@ class ParallelScheduler final : public SimContext
   public:
     /**
      * @param shards   partition/thread count. One is valid — and is how
-     *                 simThreads=1 runs on parallel-safe configurations:
+     *                 simThreads=1 runs, and every Active-predictor run:
      *                 the same canonical (tick, channel) semantics on
      *                 the calling thread through the direct-dispatch
      *                 fast path, so results match every other shard
@@ -90,7 +90,6 @@ class ParallelScheduler final : public SimContext
     {
         return unsigned(parts_.size());
     }
-    bool canonical() const override { return true; }
     unsigned shardOf(NodeId node) const override { return shard_[node]; }
     EventQueue &queueFor(NodeId node) override
     {

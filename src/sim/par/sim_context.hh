@@ -7,14 +7,16 @@
  * schedules its events through a SimContext instead of holding a raw
  * EventQueue. The context decides where an event lives:
  *
- *  - SequentialContext (this file): one EventQueue, one StatGroup.
- *    queueFor()/post() degenerate to the plain scheduleAt() calls the
- *    sequential simulator always made, so a 1-shard run is bit-identical
- *    to the historical single-threaded engine.
+ *  - ParallelScheduler (parallel_scheduler.hh): the engine every
+ *    DsmSystem run uses. Nodes are sharded over one or more
+ *    partitions, each with its own EventQueue and StatGroup, executed
+ *    under conservative lookahead windows.
  *
- *  - ParallelScheduler (parallel_scheduler.hh): nodes are sharded over
- *    several partitions, each with its own EventQueue and StatGroup,
- *    executed by worker threads under conservative lookahead windows.
+ *  - SequentialContext (this file): an adapter that borrows one
+ *    caller-owned EventQueue and StatGroup, so standalone interconnects
+ *    (the `(EventQueue&, StatGroup&)` constructors) run without an
+ *    engine. Its post() is a plain scheduleAt(), i.e. raw schedule
+ *    order rather than the canonical (tick, channel) order.
  *
  * The contract that makes sharding safe:
  *
@@ -43,7 +45,6 @@
 #define LTP_SIM_PAR_SIM_CONTEXT_HH
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 
@@ -105,18 +106,8 @@ class SimContext
   public:
     virtual ~SimContext() = default;
 
-    /** Number of partitions events are sharded over (1 = sequential). */
+    /** Number of partitions events are sharded over. */
     virtual unsigned numShards() const = 0;
-
-    /**
-     * True when the engine applies post() calls in the canonical
-     * (tick, channel) order — the ParallelScheduler at ANY shard count,
-     * including one. False for the plain sequential engine, whose
-     * post() order is raw schedule order. Components with a choice of
-     * protocols (SyncDomain) key on this, never on numShards(), so a
-     * 1-shard canonical run stays bit-identical to an 8-shard one.
-     */
-    virtual bool canonical() const = 0;
 
     /** Partition that owns @p node's events. */
     virtual unsigned shardOf(NodeId node) const = 0;
@@ -168,33 +159,23 @@ class SimContext
     virtual std::uint64_t executedApprox() const = 0;
 
     /**
-     * The whole run's statistics. Sequentially this is the one group;
-     * the parallel engine merges its per-shard groups into an
+     * The whole run's statistics. SequentialContext returns its one
+     * group; the parallel engine merges its per-shard groups into an
      * aggregate view (rebuilt on each call).
      */
     virtual StatGroup &stats() = 0;
 };
 
-/** The historical single-threaded engine behind the SimContext seam. */
+/** One borrowed queue and stat group behind the SimContext seam. */
 class SequentialContext final : public SimContext
 {
   public:
-    /** Own a fresh queue and stat group (the DsmSystem case). */
-    SequentialContext()
-        : owned_(std::make_unique<Owned>()),
-          eq_(&owned_->eq),
-          stats_(&owned_->stats)
-    {
-    }
-
-    /** Borrow an existing queue/group (standalone network tests). */
     SequentialContext(EventQueue &eq, StatGroup &stats)
         : eq_(&eq), stats_(&stats)
     {
     }
 
     unsigned numShards() const override { return 1; }
-    bool canonical() const override { return false; }
     unsigned shardOf(NodeId) const override { return 0; }
     EventQueue &queueFor(NodeId) override { return *eq_; }
     StatGroup &shardStats(unsigned) override { return *stats_; }
@@ -238,13 +219,6 @@ class SequentialContext final : public SimContext
     StatGroup &stats() override { return *stats_; }
 
   private:
-    struct Owned
-    {
-        EventQueue eq;
-        StatGroup stats;
-    };
-
-    std::unique_ptr<Owned> owned_;
     EventQueue *eq_;
     StatGroup *stats_;
     mutable std::mutex abortMu_;

@@ -12,7 +12,7 @@
  *    owned by exactly one sequential consumer (a kernel's per-node
  *    ThreadCtx, a standalone bench driver). A stream whose draws
  *    interleave across nodes makes the consumption order part of the
- *    result — the exact coupling that forces a serial engine.
+ *    result — the exact coupling that breaks shard-count invariance.
  *
  *  - counterHash(): a *pure* function of (seed, stream coordinates...,
  *    counter). This is the shared-state-free replacement: every call

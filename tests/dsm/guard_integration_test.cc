@@ -5,7 +5,8 @@
  * watchdog within its budget, with a flight record left behind), the
  * observer-only contract of the invariant checkers, the shard-count
  * invariance of deterministic fault injection, and the structured
- * abort outcomes for budget violations.
+ * abort outcomes for budget violations. Each multi-shard run records
+ * the host's core count against its shard count (host_parallelism.hh).
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <string>
 
 #include "dsm/system.hh"
+#include "host_parallelism.hh"
 #include "kernel/kernels.hh"
 #include "obs/categories.hh"
 
@@ -72,6 +74,7 @@ runGuarded(const guard::GuardParams &guard_params, unsigned threads,
     out.outcome = r.outcome;
     out.abortReason = r.abortReason;
     out.shards = sys.shardPlan().shards;
+    recordHostParallelism(out.shards);
     return out;
 }
 

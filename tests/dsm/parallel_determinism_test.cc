@@ -7,7 +7,9 @@
  * simThreads value, including 1. These tests run a matrix of kernels x
  * topologies at shards {1, 2, 4} and compare byte-for-byte stats dumps,
  * plus the Figure 6 (Passive predictor) and Table 4 (Active predictor,
- * serial-fallback) methodologies the paper's results hang on.
+ * held to one shard) methodologies the paper's results hang on. Each
+ * multi-shard cell records the host's core count against its shard
+ * count (host_parallelism.hh).
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include <string>
 
 #include "dsm/system.hh"
+#include "host_parallelism.hh"
 #include "kernel/kernels.hh"
 
 namespace ltp
@@ -31,7 +34,8 @@ struct RunOutput
     std::uint64_t events = 0;
     bool completed = false;
     unsigned shards = 0;
-    std::string serialReason;
+    std::string singleShardReason;
+    std::uint64_t rounds = 0; //!< engine window rounds (host profile)
 };
 
 RunOutput
@@ -61,7 +65,9 @@ runCell(const std::string &kernel_name, TopologyKind topo,
     out.events = r.eventsExecuted;
     out.completed = r.completed;
     out.shards = sys.shardPlan().shards;
-    out.serialReason = sys.shardPlan().serialReason;
+    out.singleShardReason = sys.shardPlan().singleShardReason;
+    out.rounds = r.engineProfile.rounds;
+    recordHostParallelism(out.shards);
     return out;
 }
 
@@ -126,16 +132,17 @@ TEST(ParallelDeterminismModes, PassivePredictorShardsAndStaysIdentical)
                            PredictorKind::LtpPerBlock,
                            PredictorMode::Passive);
     EXPECT_EQ(s4.shards, 4u);
-    EXPECT_TRUE(s4.serialReason.empty()) << s4.serialReason;
+    EXPECT_TRUE(s4.singleShardReason.empty()) << s4.singleShardReason;
     expectIdentical(s1, s4, "ltp-passive mesh");
 }
 
-TEST(ParallelDeterminismModes, ActivePredictorFallsBackToSerial)
+TEST(ParallelDeterminismModes, ActivePredictorRunsOneCanonicalShard)
 {
     // Table 4 methodology: Active predictors are trained through the
-    // directory's zero-lookahead verification wire, so the planner must
-    // refuse to shard — and the output must still be simThreads-
-    // invariant because both runs use the same (sequential) engine.
+    // directory's zero-lookahead verification call, so the planner
+    // holds the run to one shard of the canonical engine (windowed
+    // rounds, (tick, channel) order) and says why. The output must
+    // still be simThreads-invariant.
     RunOutput s1 = runCell("em3d", TopologyKind::Torus2D,
                            RoutingPolicy::DimensionOrder, 1,
                            PredictorKind::LtpPerBlock,
@@ -145,7 +152,8 @@ TEST(ParallelDeterminismModes, ActivePredictorFallsBackToSerial)
                            PredictorKind::LtpPerBlock,
                            PredictorMode::Active);
     EXPECT_EQ(s4.shards, 1u);
-    EXPECT_FALSE(s4.serialReason.empty());
+    EXPECT_FALSE(s4.singleShardReason.empty());
+    EXPECT_GT(s4.rounds, 0u);
     expectIdentical(s1, s4, "ltp-active torus");
 }
 
@@ -153,9 +161,9 @@ TEST(ParallelDeterminismModes, ObliviousRoutingShardsAndStaysIdentical)
 {
     // The lint's marquee true positive, fixed: oblivious coin flips are
     // counter-based per-(src, dst) streams (pure hash of seed, src,
-    // dst, netSeq, hop), so the policy no longer forces the serial
-    // fallback and stays byte-identical across shard counts — here on
-    // the wrap topology whose dateline escape VCs stress it hardest.
+    // dst, netSeq, hop), so the policy shards and stays
+    // byte-identical across shard counts — here on the wrap topology
+    // whose dateline escape VCs stress it hardest.
     RunOutput s1 = runCell("ocean", TopologyKind::Torus2D,
                            RoutingPolicy::Oblivious, 1);
     RunOutput s2 = runCell("ocean", TopologyKind::Torus2D,
@@ -164,7 +172,7 @@ TEST(ParallelDeterminismModes, ObliviousRoutingShardsAndStaysIdentical)
                            RoutingPolicy::Oblivious, 4);
     EXPECT_EQ(s2.shards, 2u);
     EXPECT_EQ(s4.shards, 4u);
-    EXPECT_TRUE(s4.serialReason.empty()) << s4.serialReason;
+    EXPECT_TRUE(s4.singleShardReason.empty()) << s4.singleShardReason;
     expectIdentical(s1, s2, "oblivious torus s1 vs s2");
     expectIdentical(s1, s4, "oblivious torus s1 vs s4");
 }

@@ -77,6 +77,31 @@ TEST(SimThreads, SystemRejectsOutOfRangeThreadCounts)
     EXPECT_NO_THROW(DsmSystem{max_ok});
 }
 
+TEST(DsmSystem, ZeroBarrierLatencyThrows)
+{
+    // Barrier wakeups bound the engine's lookahead window; a zero delay
+    // leaves none, and there is no other engine to fall back to.
+    SystemParams sp;
+    sp.barrierLatency = 0;
+    EXPECT_THROW(DsmSystem{sp}, std::invalid_argument);
+    sp.simThreads = 4;
+    EXPECT_THROW(DsmSystem{sp}, std::invalid_argument);
+}
+
+TEST(DsmSystem, ZeroNetworkLookaheadThrows)
+{
+    SystemParams p2p;
+    p2p.net.flightLatency = 0;
+    p2p.net.controlOccupancy = 0;
+    EXPECT_THROW(DsmSystem{p2p}, std::invalid_argument);
+
+    // Bounded VCs: the credit return's wire delay bounds the lookahead.
+    SystemParams mesh = SystemParams::withTopology(TopologyKind::Mesh2D, 16);
+    mesh.net.vcDepth = 2;
+    mesh.net.hopLatency = 0;
+    EXPECT_THROW(DsmSystem{mesh}, std::invalid_argument);
+}
+
 TEST(DsmSystem, RunTwiceThrows)
 {
     DsmSystem sys(SystemParams::base());

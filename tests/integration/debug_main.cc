@@ -93,10 +93,9 @@ runDebug(int argc, char **argv)
     }
 
     ltp::DsmSystem sys(sp);
-    if (!sys.shardPlan().canonical() && sp.simThreads > 1) {
-        std::cout << "# serial fallback: " << sys.shardPlan().serialReason
-                  << "\n";
-    }
+    const std::string &single = sys.shardPlan().singleShardReason;
+    if (!single.empty() && sp.simThreads > 1)
+        std::cout << "# single shard: " << single << "\n";
     auto kernel = ltp::makeKernel(spec.kernel);
     ltp::RunResult r = sys.run(*kernel, cfg);
 

@@ -2,11 +2,14 @@
  * @file
  * Tests for simulated-thread synchronization: the magic barrier and the
  * coherent-memory spin locks (including mutual exclusion as a property
- * under contention).
+ * under contention). The mini-DSM runs on the canonical engine at one
+ * and two shards, so the barrier's atomic arrival protocol is exercised
+ * both on one thread and across threads.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -15,6 +18,7 @@
 #include "net/network.hh"
 #include "proto/cache_controller.hh"
 #include "proto/dir_controller.hh"
+#include "sim/par/parallel_scheduler.hh"
 
 namespace ltp
 {
@@ -28,24 +32,30 @@ constexpr int lockItersC = 6;
 constexpr Addr flagC = 0x3000;
 constexpr Addr fetchCtrC = 0x4000;
 
-/** Mini-DSM harness running real coroutine threads. */
-class SyncTest : public ::testing::Test
+/** Mini-DSM harness running real coroutine threads; param = shards. */
+class SyncTest : public ::testing::TestWithParam<unsigned>
 {
   protected:
     static constexpr NodeId kNodes = 8;
+    static constexpr Tick kBarrierLatency = 200;
 
-    SyncTest() : homes_(4096, kNodes)
+    SyncTest()
+        : sim_(GetParam(), kNodes,
+               std::min(networkLookahead(NetworkParams{}), kBarrierLatency)),
+          homes_(4096, kNodes)
     {
-        net_ = std::make_unique<Network>(eq_, kNodes, NetworkParams{},
-                                         stats_);
-        sync_ = std::make_unique<SyncDomain>(eq_, kNodes, 200);
+        mem_.setConcurrent(GetParam() > 1);
+        net_ = std::make_unique<Network>(sim_, kNodes, NetworkParams{});
+        sync_ = std::make_unique<SyncDomain>(sim_, kNodes, kBarrierLatency);
         for (NodeId n = 0; n < kNodes; ++n) {
+            EventQueue &eq = sim_.queueFor(n);
+            StatGroup &stats = sim_.shardStats(sim_.shardOf(n));
             caches_.push_back(std::make_unique<CacheController>(
-                n, eq_, *net_, homes_, CacheParams{}, stats_));
+                n, eq, *net_, homes_, CacheParams{}, stats));
             dirs_.push_back(std::make_unique<DirController>(
-                n, eq_, *net_, DirParams{}, stats_));
+                n, eq, *net_, DirParams{}, stats));
             threads_.push_back(std::make_unique<ThreadCtx>(
-                n, eq_, *caches_[n], mem_, *sync_, 1));
+                n, eq, *caches_[n], mem_, *sync_, 1));
         }
         for (NodeId n = 0; n < kNodes; ++n) {
             net_->setSink(n, [this, n](const Message &m) {
@@ -75,13 +85,12 @@ class SyncTest : public ::testing::Test
         tasks_ = std::move(tasks);
         for (std::size_t i = 0; i < tasks_.size(); ++i)
             tasks_[i].start(&done_[i]);
-        eq_.runUntil(100'000'000);
+        sim_.runUntil(100'000'000);
         for (auto &t : tasks_)
             ASSERT_TRUE(t.done()) << "thread deadlocked";
     }
 
-    EventQueue eq_;
-    StatGroup stats_;
+    ParallelScheduler sim_;
     HomeMap homes_;
     MemoryValues mem_;
     std::unique_ptr<Network> net_;
@@ -93,7 +102,7 @@ class SyncTest : public ::testing::Test
     std::vector<std::function<void()>> done_;
 };
 
-TEST_F(SyncTest, BarrierBlocksUntilAllArrive)
+TEST_P(SyncTest, BarrierBlocksUntilAllArrive)
 {
     std::vector<Tick> release_times(kNodes);
     std::vector<Task<void>> tasks;
@@ -113,7 +122,7 @@ TEST_F(SyncTest, BarrierBlocksUntilAllArrive)
     EXPECT_EQ(sync_->barriersCompleted(), 1u);
 }
 
-TEST_F(SyncTest, BarrierReusableAcrossGenerations)
+TEST_P(SyncTest, BarrierReusableAcrossGenerations)
 {
     std::vector<Task<void>> tasks;
     for (NodeId n = 0; n < kNodes; ++n) {
@@ -128,7 +137,7 @@ TEST_F(SyncTest, BarrierReusableAcrossGenerations)
     EXPECT_EQ(sync_->barriersCompleted(), 5u);
 }
 
-TEST_F(SyncTest, LockProvidesMutualExclusionProperty)
+TEST_P(SyncTest, LockProvidesMutualExclusionProperty)
 {
     // Classic critical-section interleaving check: counter incremented
     // non-atomically (separate load and store with compute between)
@@ -152,7 +161,7 @@ TEST_F(SyncTest, LockProvidesMutualExclusionProperty)
     EXPECT_EQ(mem_.load(lockAddrC), 0u) << "lock left held";
 }
 
-TEST_F(SyncTest, TestAndSetIsAtomicUnderContention)
+TEST_P(SyncTest, TestAndSetIsAtomicUnderContention)
 {
     // All nodes race one TAS; exactly one must win each round.
     std::vector<int> wins(kNodes, 0);
@@ -173,7 +182,7 @@ TEST_F(SyncTest, TestAndSetIsAtomicUnderContention)
     EXPECT_EQ(total, 1);
 }
 
-TEST_F(SyncTest, FetchAddSerializesCorrectly)
+TEST_P(SyncTest, FetchAddSerializesCorrectly)
 {
     std::vector<Task<void>> tasks;
     for (NodeId n = 0; n < kNodes; ++n) {
@@ -186,7 +195,7 @@ TEST_F(SyncTest, FetchAddSerializesCorrectly)
     EXPECT_EQ(mem_.load(fetchCtrC), std::uint64_t(kNodes) * 10);
 }
 
-TEST_F(SyncTest, MemOpsCounted)
+TEST_P(SyncTest, MemOpsCounted)
 {
     std::vector<Task<void>> tasks;
     for (NodeId n = 0; n < kNodes; ++n) {
@@ -199,6 +208,8 @@ TEST_F(SyncTest, MemOpsCounted)
     for (NodeId n = 0; n < kNodes; ++n)
         EXPECT_EQ(threads_[n]->memOps(), 2u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, SyncTest, ::testing::Values(1u, 2u));
 
 } // namespace
 } // namespace ltp

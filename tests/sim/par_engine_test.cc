@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <functional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -108,9 +109,7 @@ TEST(WindowBarrierTest, CompletionRunsOnceAndReleasesAll)
 TEST(Lookahead, PointToPointWindowIsFlightPlusOccupancy)
 {
     NetworkParams net; // defaults: flight 80, control 4, data 12
-    NetLookahead la = networkLookahead(net);
-    EXPECT_EQ(la.ticks, 84u);
-    EXPECT_EQ(la.serialReason, nullptr);
+    EXPECT_EQ(networkLookahead(net), 84u);
 }
 
 TEST(Lookahead, RoutedWindowIsSerializationPlusHopPlusRouter)
@@ -118,11 +117,11 @@ TEST(Lookahead, RoutedWindowIsSerializationPlusHopPlusRouter)
     NetworkParams net;
     net.topology = TopologyKind::Mesh2D;
     // ceil(16 / 4) + 68 + 8 = 80 — exactly the paper's one-hop latency.
-    EXPECT_EQ(networkLookahead(net).ticks, 80u);
+    EXPECT_EQ(networkLookahead(net), 80u);
 
     // Finite input buffers add the wire-delayed credit return path.
     net.vcDepth = 4;
-    EXPECT_EQ(networkLookahead(net).ticks, 68u);
+    EXPECT_EQ(networkLookahead(net), 68u);
 }
 
 TEST(Lookahead, ObliviousRoutingShardsLikeAnyRoutedPolicy)
@@ -132,12 +131,10 @@ TEST(Lookahead, ObliviousRoutingShardsLikeAnyRoutedPolicy)
     NetworkParams net;
     net.topology = TopologyKind::Torus2D;
     net.routing = RoutingPolicy::Oblivious;
-    NetLookahead la = networkLookahead(net);
-    EXPECT_EQ(la.ticks, 80u);
-    EXPECT_EQ(la.serialReason, nullptr);
+    EXPECT_EQ(networkLookahead(net), 80u);
 }
 
-TEST(Lookahead, ShardPlanClampsAndFallsBack)
+TEST(Lookahead, ShardPlanClampsAndRejectsZeroLookahead)
 {
     LookaheadInputs in;
     in.requestedThreads = 8;
@@ -146,16 +143,16 @@ TEST(Lookahead, ShardPlanClampsAndFallsBack)
     in.barrierLatency = 200;
 
     ShardPlan plan = resolveShardPlan(in);
-    EXPECT_TRUE(plan.canonical());
     EXPECT_EQ(plan.shards, 4u); // clamped to the node count
     EXPECT_EQ(plan.window, 84u);
+    EXPECT_TRUE(plan.singleShardReason.empty());
 
-    // One requested thread still yields the canonical engine (that is
+    // One requested thread runs the same engine on one shard (that is
     // the S = 1 anchor of the bit-identity guarantee).
     in.requestedThreads = 1;
     plan = resolveShardPlan(in);
-    EXPECT_TRUE(plan.canonical());
     EXPECT_EQ(plan.shards, 1u);
+    EXPECT_EQ(plan.window, 84u);
 
     // The barrier release path bounds the window.
     in.requestedThreads = 4;
@@ -163,12 +160,12 @@ TEST(Lookahead, ShardPlanClampsAndFallsBack)
     plan = resolveShardPlan(in);
     EXPECT_EQ(plan.window, 50u);
 
-    // A zero-lookahead coupling forces the plain sequential engine.
-    in.zeroLookaheadCoupling = "verification feedback";
-    plan = resolveShardPlan(in);
-    EXPECT_FALSE(plan.canonical());
-    EXPECT_EQ(plan.shards, 1u);
-    EXPECT_EQ(plan.serialReason, "verification feedback");
+    // No lookahead is an error, not a cue to switch engines.
+    in.barrierLatency = 0;
+    EXPECT_THROW(resolveShardPlan(in), std::invalid_argument);
+    in.barrierLatency = 200;
+    in.netLookahead = 0;
+    EXPECT_THROW(resolveShardPlan(in), std::invalid_argument);
 }
 
 TEST(ParallelSchedulerTest, OneShardUsesDirectDispatch)
