@@ -1,9 +1,10 @@
 /**
  * @file
  * Google-benchmark microbenchmarks for the hot structures: trace
- * signature updates, predictor touch/learn paths, the event queue, a
- * congested router hop, and end-to-end simulated-cycles-per-wall-second
- * for a small system.
+ * signature updates, predictor touch/learn paths, the event queue (a
+ * cold batch and the steady state), an uncongested and a congested
+ * router hop, and end-to-end simulated-cycles-per-wall-second for a
+ * small system.
  */
 
 #include <benchmark/benchmark.h>
@@ -83,6 +84,86 @@ BM_EventQueueScheduleRun(benchmark::State &state)
     }
 }
 BENCHMARK(BM_EventQueueScheduleRun);
+
+/** A self-rescheduling event with a 16-byte capture (queue pointer +
+ *  LCG state), the size of a typical hot-path network callback. */
+struct SteadyHop
+{
+    EventQueue *eq;
+    std::uint64_t x;
+
+    void
+    operator()() const
+    {
+        std::uint64_t nx = x * 6364136223846793005ull + 1442695040888963407ull;
+        eq->scheduleIn(1 + (nx >> 33) % 80, SteadyHop{eq, nx});
+    }
+};
+
+/**
+ * Event-queue steady state: about 200 pending events spread over an
+ * 80-tick horizon, each one rescheduling itself when it runs, so one
+ * iteration (one step()) is exactly one execute plus one schedule with
+ * a 16-byte capture. The queue is warm (slots, buckets), as in a long
+ * simulation; reports ns per schedule+execute.
+ */
+void
+BM_EventQueueSteadyState(benchmark::State &state)
+{
+    EventQueue eq;
+    for (std::uint64_t i = 0; i < 200; ++i)
+        eq.scheduleIn(1 + i % 80, SteadyHop{&eq, i});
+    for (int i = 0; i < 10000; ++i) // warm the slot arena and buckets
+        eq.step();
+    for (auto _ : state)
+        eq.step();
+    benchmark::DoNotOptimize(eq.eventsExecuted());
+    state.SetItemsProcessed(std::int64_t(state.iterations()));
+}
+BENCHMARK(BM_EventQueueSteadyState);
+
+/**
+ * Router hop without contention: an 8x8 mesh, dimension-order routing,
+ * unbounded VCs. Each iteration sends four corner-to-corner messages
+ * (0->63, 63->0, 7->56, 56->7: 14 hops each, on disjoint directed
+ * links) and runs them to delivery, so every grant finds its link
+ * idle. Reports host time per hop, including each message's NI and
+ * delivery events.
+ */
+void
+BM_RouterHopUncongested(benchmark::State &state)
+{
+    EventQueue eq;
+    StatGroup stats;
+    NetworkParams p;
+    p.topology = TopologyKind::Mesh2D;
+    p.routing = RoutingPolicy::DimensionOrder;
+    p.vcDepth = 0;
+    RoutedNetwork net(eq, 64, p, stats);
+    for (NodeId n = 0; n < 64; ++n)
+        net.setSink(n, [](const Message &) {});
+    const Counter &hops = stats.counter("net.hops");
+    const std::pair<NodeId, NodeId> corners[] = {
+        {0, 63}, {63, 0}, {7, 56}, {56, 7}};
+
+    std::uint64_t sent = 0;
+    for (auto _ : state) {
+        for (auto [src, dst] : corners) {
+            Message m;
+            m.type = MsgType::GetS;
+            m.src = src;
+            m.dst = dst;
+            m.addr = Addr(sent++);
+            net.send(m);
+        }
+        eq.run();
+    }
+    benchmark::DoNotOptimize(eq.eventsExecuted());
+    state.counters["time_per_hop"] = benchmark::Counter(
+        double(hops.value()),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RouterHopUncongested);
 
 /**
  * Router hop under backlog: one bounded link (2-node mesh, adaptive

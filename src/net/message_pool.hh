@@ -49,6 +49,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "net/message.hh"
@@ -71,6 +72,10 @@ struct MsgHandle
     unsigned shard() const { return unsigned((bits >> 32) & 0xff); }
     std::uint32_t slot() const { return std::uint32_t(bits) - 1; }
 };
+
+// Every network event captures a handle; keeping it trivially copyable
+// keeps those callbacks on SmallFunction's memcpy relocation path.
+static_assert(std::is_trivially_copyable_v<MsgHandle>);
 
 /** Per-shard arena of Message slots addressed by MsgHandle. */
 class MessagePool

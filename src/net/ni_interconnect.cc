@@ -13,11 +13,17 @@ NiInterconnect::NiInterconnect(SimContext &ctx, NodeId num_nodes,
     : params_(params),
       ctx_(&ctx),
       pool_(ctx.numShards()),
+      nodeQueue_(num_nodes),
+      nodeShard_(num_nodes),
       niEgressFree_(num_nodes, 0),
       ingressQueue_(num_nodes),
       ingressBusy_(num_nodes, 0),
       sinks_(num_nodes)
 {
+    for (NodeId n = 0; n < num_nodes; ++n) {
+        nodeQueue_[n] = &ctx_->queueFor(n);
+        nodeShard_[n] = ctx_->shardOf(n);
+    }
     unsigned shards = ctx_->numShards();
     msgsSent_.reserve(shards);
     dataMsgs_.reserve(shards);
@@ -62,7 +68,7 @@ NiInterconnect::injectLocalOrCount(Message &msg)
     msg.injectedAt = eq.now();
     obs::Tracer::instant(obs::Cat::Message, msg.src, "inject", eq.now(),
                          msg.dst, std::uint64_t(msg.type));
-    unsigned shard = ctx_->shardOf(msg.src);
+    unsigned shard = shardOf(msg.src);
     msgsSent_[shard]->inc();
     if (carriesData(msg.type))
         dataMsgs_[shard]->inc();
@@ -130,7 +136,7 @@ NiInterconnect::deliver(MsgHandle h)
     // destination node's track: inject -> (NI, flight, hops) -> deliver.
     obs::Tracer::span(obs::Cat::Message, msg.dst, msgTypeName(msg.type),
                       msg.injectedAt, q(msg.dst).now(), msg.src, msg.dst);
-    unsigned shard = ctx_->shardOf(msg.dst);
+    unsigned shard = shardOf(msg.dst);
     endToEndLatency_[shard]->sample(double(lat));
     latencyHist_[shard]->sample(double(lat));
     if (guard::Checks::on(obs::Cat::Message))

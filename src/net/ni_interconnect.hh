@@ -52,8 +52,11 @@ class NiInterconnect : public Interconnect
     NiInterconnect(EventQueue &eq, NodeId num_nodes, NetworkParams params,
                    StatGroup &stats);
 
-    /** The queue @p node's events run on. */
-    EventQueue &q(NodeId node) { return ctx_->queueFor(node); }
+    /** The queue @p node's events run on (a cached load, no call). */
+    EventQueue &q(NodeId node) { return *nodeQueue_[node]; }
+
+    /** The shard owning @p node (cached like q()). */
+    unsigned shardOf(NodeId node) const { return nodeShard_[node]; }
 
     SimContext &ctx() { return *ctx_; }
 
@@ -108,6 +111,13 @@ class NiInterconnect : public Interconnect
 
     SimContext *ctx_;
     std::unique_ptr<SimContext> ownedCtx_; //!< legacy-constructor shim
+
+    /** Per-node queue and shard, read from the context once at
+     *  construction: the node -> shard map is fixed for the engine's
+     *  lifetime and its queues never move, so the several lookups each
+     *  message and hop makes are plain loads, not virtual calls. */
+    std::vector<EventQueue *> nodeQueue_;
+    std::vector<unsigned> nodeShard_;
     MessagePool pool_;
 
     // Shared stat names, one handle per shard (merged after the run).

@@ -27,7 +27,6 @@ RoutedNetwork::RoutedNetwork(SimContext &ctx, NodeId num_nodes,
                              NetworkParams params)
     : NiInterconnect(ctx, num_nodes, params),
       geom_(params.topology, num_nodes, params.meshWidth),
-      linkIdx_(std::size_t(num_nodes) * num_nodes, -1),
       sendSeq_(std::size_t(num_nodes) * num_nodes, 0),
       pairs_(std::size_t(num_nodes) * num_nodes)
 {
@@ -49,26 +48,21 @@ RoutedNetwork::RoutedNetwork(SimContext &ctx, NodeId num_nodes,
     numVcs_ = params_.vcCount ? params_.vcCount : auto_vcs;
     assert(numVcs_ >= auto_vcs && "validateNetworkParams missed");
 
-    for (NodeId from = 0; from < num_nodes; ++from) {
+    links_.reserve(geom_.numLinks());
+    for (std::size_t l = 0; l < geom_.numLinks(); ++l) {
+        const TopoLink &tl = geom_.link(l);
         // A link's queue/credit/busy state is owned by its upstream
         // router's shard: its counters register there too.
-        StatGroup &stats = ctx.shardStats(ctx.shardOf(from));
-        for (NodeId to : geom_.neighbors(from)) {
-            linkIdx_[std::size_t(from) * num_nodes + to] =
-                int(links_.size());
-            Link link;
-            link.from = from;
-            link.to = to;
-            link.dim = std::uint8_t(geom_.linkDim(from, to));
-            link.wrap = geom_.isWrapLink(from, to);
-            link.vcq.resize(numVcs_);
-            if (bounded())
-                link.credits.assign(numVcs_, params_.vcDepth);
-            link.msgs = &stats.counter(linkStatName("linkMsgs", from, to));
-            link.busyCycles =
-                &stats.counter(linkStatName("linkBusy", from, to));
-            links_.push_back(std::move(link));
-        }
+        StatGroup &stats = ctx.shardStats(shardOf(tl.from));
+        Link link;
+        static_cast<TopoLink &>(link) = tl;
+        link.vcq.resize(numVcs_);
+        if (bounded())
+            link.credits.assign(numVcs_, params_.vcDepth);
+        link.msgs = &stats.counter(linkStatName("linkMsgs", tl.from, tl.to));
+        link.busyCycles =
+            &stats.counter(linkStatName("linkBusy", tl.from, tl.to));
+        links_.push_back(std::move(link));
     }
 }
 
@@ -86,12 +80,6 @@ RoutedNetwork::RoutedNetwork(EventQueue &eq, NodeId num_nodes,
 {
 }
 
-int
-RoutedNetwork::linkIndex(NodeId from, NodeId to) const
-{
-    return linkIdx_[std::size_t(from) * numNodes() + to];
-}
-
 unsigned
 RoutedNetwork::obliviousPick(NodeId at, const Message &msg,
                              unsigned n) const
@@ -103,15 +91,6 @@ RoutedNetwork::obliviousPick(NodeId at, const Message &msg,
     constexpr std::uint64_t seed = 0x0B11'0B11'0B11'0B11ull;
     return unsigned(counterHash(seed, msg.src, msg.dst, msg.netSeq, at) %
                     n);
-}
-
-std::uint8_t
-RoutedNetwork::escapeVc(NodeId at, NodeId next, const Message &msg) const
-{
-    if (escapeVcs_ < 2)
-        return 0;
-    unsigned dim = geom_.linkDim(at, next);
-    return (msg.netVcFlags & (1u << dim)) ? 1 : 0;
 }
 
 std::uint8_t
@@ -152,7 +131,7 @@ RoutedNetwork::send(Message msg)
     msg.netVcFlags = 0;
     NodeId src = msg.src;
     Tick clear = egressDone(msg);
-    MsgHandle h = pool().alloc(ctx().shardOf(src), msg);
+    MsgHandle h = pool().alloc(shardOf(src), msg);
     q(src).scheduleAt(clear, [this, src, h] { forward(src, h, -1, 0); });
 }
 
@@ -164,24 +143,24 @@ RoutedNetwork::forward(NodeId at, MsgHandle h, std::int32_t in_link,
     std::size_t l;
     std::uint8_t vc;
     if (params_.routing == RoutingPolicy::DimensionOrder) {
-        NodeId next = geom_.nextHop(at, msg.dst);
-        l = routeLink(at, next);
-        vc = escapeVc(at, next, msg);
+        // Per-node step tables: the output link, whose dimension picks
+        // the dateline VC, without coordinate arithmetic.
+        l = geom_.dorLink(at, msg.dst);
+        vc = escapeVc(links_[l], msg);
     } else {
-        NodeId cands[2];
-        unsigned n = geom_.productiveHopsInto(at, msg.dst, cands);
+        std::size_t cands[2];
+        unsigned n = geom_.productiveLinksInto(at, msg.dst, cands);
         unsigned pick = 0;
         if (n > 1) {
             if (params_.routing == RoutingPolicy::Oblivious) {
                 pick = obliviousPick(at, msg, n);
-            } else if (congestion(routeLink(at, cands[1])) <
-                       congestion(routeLink(at, cands[0]))) {
+            } else if (congestion(cands[1]) < congestion(cands[0])) {
                 // Minimal-adaptive: the less congested productive port;
                 // ties go to the dimension-order choice (element 0).
                 pick = 1;
             }
         }
-        l = routeLink(at, cands[pick]);
+        l = cands[pick];
         vc = adaptiveVc(links_[l]);
     }
     enqueue(l, Entry{.h = h, .inLink = in_link, .vc = vc, .inVc = in_vc});
@@ -192,6 +171,11 @@ RoutedNetwork::enqueue(std::size_t l, Entry e)
 {
     Link &link = links_[l];
     e.seq = link.nextSeq++;
+    if (link.waiting == 0 && !link.draining && linkIdle(link) &&
+        hasCredit(link, e.vc)) {
+        grantAt(l, e, q(link.from).now());
+        return;
+    }
     link.vcq[e.vc].push_back(e);
     ++link.waiting;
     pump(l);
@@ -312,12 +296,11 @@ RoutedNetwork::drainLink(std::size_t l)
 
         Entry e = popHead(link, unsigned(blocked));
         const Message &msg = pool().at(e.h);
-        escapeReroutes_[ctx().shardOf(link.from)]->inc();
+        escapeReroutes_[shardOf(link.from)]->inc();
         obs::Tracer::instant(obs::Cat::Link, link.from, "escape reroute",
                              q(link.from).now(), msg.dst);
-        NodeId dor = geom_.nextHop(link.from, msg.dst);
-        e.vc = escapeVc(link.from, dor, msg);
-        std::size_t el = routeLink(link.from, dor);
+        std::size_t el = geom_.dorLink(link.from, msg.dst);
+        e.vc = escapeVc(links_[el], msg);
         if (el == l) {
             // Same link: the request keeps its arrival number, so it
             // takes its request-order place in the escape FIFO, ahead
@@ -366,7 +349,7 @@ RoutedNetwork::grantAt(std::size_t l, Entry e, Tick start)
     }
     link.msgs->inc();
     link.busyCycles->inc(ser);
-    hops_[ctx().shardOf(link.from)]->inc();
+    hops_[shardOf(link.from)]->inc();
     // The wire-busy span on the upstream router's track: one grant =
     // one serialization window on link from->to via the allocated VC.
     obs::Tracer::span(obs::Cat::Link, link.from, "grant", start,
@@ -451,7 +434,7 @@ RoutedNetwork::reorderDeliver(MsgHandle h)
     if (msg.netSeq != ps.nextSeq) {
         // An earlier injection of this pair is still in flight (adaptive
         // or oblivious routing took a different path); park this one.
-        reorderHeld_[ctx().shardOf(msg.dst)]->inc();
+        reorderHeld_[shardOf(msg.dst)]->inc();
         ps.pending.emplace(msg.netSeq, h);
         return;
     }
@@ -469,7 +452,7 @@ void
 RoutedNetwork::deliver(MsgHandle h)
 {
     const Message &msg = pool().at(h);
-    hopsPerMsg_[ctx().shardOf(msg.dst)]->sample(
+    hopsPerMsg_[shardOf(msg.dst)]->sample(
         double(geom_.hopCount(msg.src, msg.dst)));
     NiInterconnect::deliver(h);
 }

@@ -134,7 +134,8 @@ class RoutedNetwork : public NiInterconnect
     };
 
     /**
-     * One directed physical channel between adjacent routers.
+     * One directed physical channel between adjacent routers: the
+     * geometry's link (ends, dimension, dateline) plus its router state.
      *
      * Serialization is modeled with a coalesced "link engine" instead
      * of a per-message link-free event: `freeAt` records when the
@@ -150,12 +151,8 @@ class RoutedNetwork : public NiInterconnect
      * is the smallest-`seq` head among those VCs. Arbitration therefore
      * reads at most numVcs heads per decision, never the whole backlog.
      */
-    struct Link
+    struct Link : TopoLink
     {
-        NodeId from = invalidNode;
-        NodeId to = invalidNode;
-        std::uint8_t dim = 0; //!< 0 = X, 1 = Y
-        bool wrap = false;    //!< crosses the torus/ring dateline
         /** Waiting messages per requested VC, each ascending in seq. */
         std::vector<std::deque<Entry>> vcq;
         std::size_t waiting = 0;   //!< entries across all of vcq
@@ -180,14 +177,6 @@ class RoutedNetwork : public NiInterconnect
         std::map<std::uint32_t, MsgHandle> pending;
     };
 
-    int linkIndex(NodeId from, NodeId to) const;
-    /** linkIndex() for a hop the route computed: must be physical. */
-    std::size_t routeLink(NodeId from, NodeId to) const
-    {
-        int l = linkIndex(from, to);
-        assert(l >= 0 && "route must follow physical links");
-        return std::size_t(l);
-    }
     std::size_t pairKey(NodeId src, NodeId dst) const
     {
         return std::size_t(src) * numNodes() + dst;
@@ -198,8 +187,15 @@ class RoutedNetwork : public NiInterconnect
         return !bounded() || link.credits[vc] > 0;
     }
 
-    /** Escape VC of @p msg for the hop @p at -> @p next (dateline rule). */
-    std::uint8_t escapeVc(NodeId at, NodeId next, const Message &msg) const;
+    /** Escape VC of @p msg on output link @p link (dateline rule: VC1
+     *  once the message crossed a dateline in the link's dimension). */
+    std::uint8_t
+    escapeVc(const Link &link, const Message &msg) const
+    {
+        if (escapeVcs_ < 2)
+            return 0;
+        return std::uint8_t((msg.netVcFlags >> link.dim) & 1u);
+    }
     /** Adaptive VC with the most free downstream slots on link @p l. */
     std::uint8_t adaptiveVc(const Link &link) const;
     /** Congestion score of the output link @p l (queue + buffer fill). */
@@ -216,6 +212,13 @@ class RoutedNetwork : public NiInterconnect
      *  link. */
     void forward(NodeId at, MsgHandle h, std::int32_t in_link,
                  std::uint8_t in_vc);
+    /**
+     * Request link @p l for @p e. An idle, non-draining link with no
+     * waiting entry and a credit on @p e's VC grants it on the spot:
+     * that is the one state in which drainLink() would make exactly
+     * this single grant at now and stop, so the shortcut changes no
+     * outcome. Every other state queues the entry and pumps the link.
+     */
     void enqueue(std::size_t l, Entry e);
     /**
      * VC whose FIFO head is the oldest request among VCs
@@ -257,9 +260,8 @@ class RoutedNetwork : public NiInterconnect
     unsigned numVcs_ = 1;
     unsigned escapeVcs_ = 1;
 
+    /** Router state per geometry link (same index as geom_.link()). */
     std::vector<Link> links_;
-    /** Dense (from * n + to) -> link index map; -1 when not adjacent. */
-    std::vector<int> linkIdx_;
 
     /** Per-(src, dst) next injection sequence number. */
     std::vector<std::uint32_t> sendSeq_;

@@ -122,13 +122,63 @@ TopologyGeometry::TopologyGeometry(TopologyKind kind, NodeId num_nodes,
         height_ = n_ / width_;
         break;
     }
+    coord_.resize(n_);
+    for (NodeId node = 0; node < n_; ++node)
+        coord_[node] = Coord{unsigned(node) % width_, unsigned(node) / width_};
+    if (kind_ != TopologyKind::PointToPoint)
+        buildLinkTables();
 }
 
-Coord
-TopologyGeometry::coordOf(NodeId node) const
+void
+TopologyGeometry::buildLinkTables()
 {
-    assert(node < n_);
-    return Coord{unsigned(node) % width_, unsigned(node) / width_};
+    firstLink_.reserve(std::size_t(n_) + 1);
+    links_.reserve(std::size_t(n_) * 4); // at most 4 per router
+    for (NodeId from = 0; from < n_; ++from) {
+        firstLink_.push_back(links_.size());
+        for (NodeId to : neighbors(from))
+            links_.push_back(TopoLink{from, to,
+                                      std::uint8_t(linkDim(from, to)),
+                                      isWrapLink(from, to)});
+    }
+    firstLink_.push_back(links_.size());
+    if (links_.size() >= noLink)
+        throw std::invalid_argument(
+            "topology has more links than the 16-bit step tables index (" +
+            std::to_string(n_) + " nodes)");
+
+    // axisStep() pins wrap-distance ties toward the increasing
+    // coordinate, so every (node, target coordinate) has exactly one
+    // productive step per dimension and routes stay deterministic.
+    auto step = [this](NodeId cur, Coord next) {
+        int l = linkIndex(cur, idOf(next));
+        assert(l >= 0 && "a productive step must follow a physical link");
+        return std::uint16_t(l);
+    };
+    stepX_.assign(std::size_t(n_) * width_, noLink);
+    stepY_.assign(std::size_t(n_) * height_, noLink);
+    for (NodeId cur = 0; cur < n_; ++cur) {
+        Coord c = coord_[cur];
+        for (unsigned x = 0; x < width_; ++x)
+            if (x != c.x)
+                stepX_[std::size_t(cur) * width_ + x] =
+                    step(cur, Coord{axisStep(c.x, x, width_), c.y});
+        for (unsigned y = 0; y < height_; ++y)
+            if (y != c.y)
+                stepY_[std::size_t(cur) * height_ + y] =
+                    step(cur, Coord{c.x, axisStep(c.y, y, height_)});
+    }
+}
+
+int
+TopologyGeometry::linkIndex(NodeId from, NodeId to) const
+{
+    if (firstLink_.empty())
+        return -1;
+    for (std::size_t l = firstLink_[from]; l < firstLink_[from + 1]; ++l)
+        if (links_[l].to == to)
+            return int(l);
+    return -1;
 }
 
 NodeId
@@ -155,11 +205,10 @@ TopologyGeometry::axisStep(unsigned from, unsigned to, unsigned extent) const
     if (!wraps())
         return from < to ? from + 1 : from - 1;
     // Shorter wrap direction; tie broken toward increasing coordinate.
-    unsigned fwd = (to + extent - from) % extent;
-    unsigned bwd = extent - fwd;
-    if (fwd <= bwd)
-        return (from + 1) % extent;
-    return (from + extent - 1) % extent;
+    unsigned fwd = to > from ? to - from : to + extent - from;
+    if (fwd <= extent - fwd)
+        return from + 1 == extent ? 0 : from + 1;
+    return from == 0 ? extent - 1 : from - 1;
 }
 
 NodeId
@@ -168,44 +217,21 @@ TopologyGeometry::nextHop(NodeId cur, NodeId dst) const
     assert(cur != dst && cur < n_ && dst < n_);
     if (kind_ == TopologyKind::PointToPoint)
         return dst;
-
-    Coord c = coordOf(cur);
-    Coord d = coordOf(dst);
-    // Dimension-order: resolve X fully, then Y. A ring is the X-only case.
-    if (c.x != d.x)
-        return idOf(Coord{axisStep(c.x, d.x, width_), c.y});
-    return idOf(Coord{c.x, axisStep(c.y, d.y, height_)});
+    return links_[dorLink(cur, dst)].to;
 }
 
 std::vector<NodeId>
 TopologyGeometry::productiveHops(NodeId cur, NodeId dst) const
 {
-    NodeId hops[2];
-    unsigned n = productiveHopsInto(cur, dst, hops);
-    return std::vector<NodeId>(hops, hops + n);
-}
-
-unsigned
-TopologyGeometry::productiveHopsInto(NodeId cur, NodeId dst,
-                                     NodeId (&out)[2]) const
-{
     assert(cur != dst && cur < n_ && dst < n_);
-    if (kind_ == TopologyKind::PointToPoint) {
-        out[0] = dst;
-        return 1;
-    }
-
-    // axisStep() already pins wrap-distance ties toward the increasing
-    // coordinate, so each unresolved dimension contributes exactly one
-    // candidate and routes stay deterministic per (cur, dst) pair.
-    Coord c = coordOf(cur);
-    Coord d = coordOf(dst);
-    unsigned n = 0;
-    if (c.x != d.x)
-        out[n++] = idOf(Coord{axisStep(c.x, d.x, width_), c.y});
-    if (c.y != d.y)
-        out[n++] = idOf(Coord{c.x, axisStep(c.y, d.y, height_)});
-    return n;
+    if (kind_ == TopologyKind::PointToPoint)
+        return {dst};
+    std::size_t links[2];
+    unsigned n = productiveLinksInto(cur, dst, links);
+    std::vector<NodeId> hops;
+    for (unsigned i = 0; i < n; ++i)
+        hops.push_back(links_[links[i]].to);
+    return hops;
 }
 
 unsigned

@@ -21,6 +21,9 @@
 #ifndef LTP_NET_TOPO_TOPOLOGY_HH
 #define LTP_NET_TOPO_TOPOLOGY_HH
 
+#include <cassert>
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -82,9 +85,26 @@ struct Coord
     bool operator==(const Coord &o) const { return x == o.x && y == o.y; }
 };
 
+/** One directed physical link between adjacent routers. */
+struct TopoLink
+{
+    NodeId from = invalidNode;
+    NodeId to = invalidNode;
+    std::uint8_t dim = 0; //!< 0 = X, 1 = Y
+    bool wrap = false;    //!< crosses the torus/ring dateline
+};
+
 /**
  * The static shape of one interconnect instance: node placement,
  * neighbor links, hop counts, and next-hop routing decisions.
+ *
+ * Routed kinds (mesh, torus, ring) also carry the per-hop tables the
+ * router reads instead of recomputing coordinates: the enumerated
+ * directed links and, per node, the output link one step toward every
+ * column and every row (2 bytes per entry: 2 KB for an 8 x 8 mesh or
+ * torus, 8 KB for a 64-node ring), filled at construction from the
+ * coordinate arithmetic. Every routing query below reads them.
+ * Point-to-point geometries have no links and no tables.
  */
 class TopologyGeometry
 {
@@ -106,12 +126,19 @@ class TopologyGeometry
     unsigned width() const { return width_; }
     unsigned height() const { return height_; }
 
-    Coord coordOf(NodeId node) const;
+    /** Position of @p node: a table load (no division). */
+    Coord
+    coordOf(NodeId node) const
+    {
+        assert(node < n_);
+        return coord_[node];
+    }
+
     NodeId idOf(Coord c) const;
 
     /**
      * The next node on the deterministic dimension-order route from
-     * @p cur to @p dst.
+     * @p cur to @p dst (the far end of dorLink() on routed kinds).
      * @pre cur != dst.
      */
     NodeId nextHop(NodeId cur, NodeId dst) const;
@@ -126,16 +153,8 @@ class TopologyGeometry
      */
     std::vector<NodeId> productiveHops(NodeId cur, NodeId dst) const;
 
-    /**
-     * Allocation-free productiveHops for the router's per-hop path:
-     * fills @p out (X candidate first) and returns the candidate count
-     * (1 or 2; always 1 for point-to-point and ring).
-     * @pre cur != dst.
-     */
-    unsigned productiveHopsInto(NodeId cur, NodeId dst,
-                                NodeId (&out)[2]) const;
-
-    /** Number of links the route from @p src to @p dst crosses. */
+    /** Number of links the route from @p src to @p dst crosses
+     *  (coordinate distance from the per-node table; no division). */
     unsigned hopCount(NodeId src, NodeId dst) const;
 
     /** Direct neighbors of @p node (each shared link appears once). */
@@ -154,7 +173,60 @@ class TopologyGeometry
         return kind_ == TopologyKind::Torus2D || kind_ == TopologyKind::Ring;
     }
 
+    /**
+     * Directed physical links of a routed kind, enumerated by source
+     * node, then in neighbors() order (0 for point-to-point). The index
+     * is the link's identity everywhere: its router state, its stat
+     * names, its post() channel.
+     */
+    std::size_t numLinks() const { return links_.size(); }
+    const TopoLink &link(std::size_t l) const { return links_[l]; }
+
+    /** Index of the link @p from -> @p to; -1 when not adjacent (and
+     *  always for point-to-point). Scans @p from's own links. */
+    int linkIndex(NodeId from, NodeId to) const;
+
+    /**
+     * The router's per-hop query: the minimal output links at @p cur
+     * toward @p dst, X candidate first (productiveHops() as link
+     * indices; element 0 is dorLink()). Two per-node table loads, no
+     * division. @return the candidate count (1 or 2).
+     * @pre cur != dst, routed kind.
+     */
+    unsigned
+    productiveLinksInto(NodeId cur, NodeId dst, std::size_t (&out)[2]) const
+    {
+        Coord c = coord_[cur];
+        Coord d = coord_[dst];
+        unsigned n = 0;
+        if (c.x != d.x)
+            out[n++] = stepX_[std::size_t(cur) * width_ + d.x];
+        if (c.y != d.y)
+            out[n++] = stepY_[std::size_t(cur) * height_ + d.y];
+        return n;
+    }
+
+    /**
+     * The dimension-order output link at @p cur toward @p dst: one step
+     * along X while X is unresolved, then along Y.
+     * @pre cur != dst, routed kind.
+     */
+    std::size_t
+    dorLink(NodeId cur, NodeId dst) const
+    {
+        Coord c = coord_[cur];
+        Coord d = coord_[dst];
+        return c.x != d.x ? stepX_[std::size_t(cur) * width_ + d.x]
+                          : stepY_[std::size_t(cur) * height_ + d.y];
+    }
+
   private:
+    /** Step-table entry for a coordinate the node already has. */
+    static constexpr std::uint16_t noLink = 0xFFFF;
+
+    /** Enumerate the links and fill the step tables (routed kinds). */
+    void buildLinkTables();
+
     /** Distance along one dimension of extent @p extent. */
     unsigned axisDistance(unsigned from, unsigned to, unsigned extent) const;
     /** Step (+1/-1, with wrap) along one dimension toward @p to. */
@@ -164,6 +236,14 @@ class TopologyGeometry
     NodeId n_;
     unsigned width_ = 1;
     unsigned height_ = 1;
+
+    std::vector<Coord> coord_;              //!< node -> position
+    std::vector<TopoLink> links_;           //!< routed kinds only
+    std::vector<std::size_t> firstLink_;    //!< node -> its first link
+    /** (cur * width + x) -> cur's link one X step toward column x. */
+    std::vector<std::uint16_t> stepX_;
+    /** (cur * height + y) -> cur's link one Y step toward row y. */
+    std::vector<std::uint16_t> stepY_;
 };
 
 } // namespace ltp

@@ -47,8 +47,9 @@ EventQueue::insertSorted(Bucket &b, Entry e)
     b.entries.insert(pos, e);
 }
 
-void
-EventQueue::migrate()
+// Out of line: reached only when an overflow event entered the window.
+__attribute__((noinline)) void
+EventQueue::migrateDue()
 {
     while (!overflow_.empty() && overflow_.top().when - now_ < window) {
         OverflowEntry e = overflow_.top();
@@ -69,7 +70,7 @@ EventQueue::fireTickWatcher()
 }
 
 EventQueue::EventId
-EventQueue::scheduleKeyed(Tick when, std::uint64_t key, Callback cb)
+EventQueue::scheduleKeyed(Tick when, std::uint64_t key, Callback &&cb)
 {
     assert(when >= now_ && "scheduling an event in the past");
 

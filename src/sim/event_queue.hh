@@ -106,13 +106,13 @@ class EventQueue
      * @return an id usable with cancel().
      */
     EventId
-    scheduleAt(Tick when, Callback cb)
+    scheduleAt(Tick when, Callback &&cb)
     {
         return scheduleKeyed(when, phase_ << chanBits, std::move(cb));
     }
 
     /** Schedule @p cb to run @p delay ticks from now. */
-    EventId scheduleIn(Tick delay, Callback cb)
+    EventId scheduleIn(Tick delay, Callback &&cb)
     {
         return scheduleAt(now_ + delay, std::move(cb));
     }
@@ -127,7 +127,7 @@ class EventQueue
      * order, realized here directly without mailbox staging.
      */
     EventId
-    scheduleAtChannel(Tick when, std::uint64_t chan, Callback cb)
+    scheduleAtChannel(Tick when, std::uint64_t chan, Callback &&cb)
     {
         assert(chan < (std::uint64_t(1) << chanBits) &&
                "channel ids must fit 32 bits (see chan::spaceShift)");
@@ -365,8 +365,13 @@ class EventQueue
         }
     };
 
-    /** The keyed implementation behind both schedule flavours. */
-    EventId scheduleKeyed(Tick when, std::uint64_t key, Callback cb);
+    /**
+     * The keyed implementation behind both schedule flavours. Every
+     * schedule entry point takes the callback by rvalue reference, so
+     * a lambda is wrapped once at the call site and moved exactly once,
+     * into its slot.
+     */
+    EventId scheduleKeyed(Tick when, std::uint64_t key, Callback &&cb);
 
     /** Sorted-insert into the ring bucket for @p when (within window). */
     void pushBucket(Tick when, Entry e);
@@ -374,8 +379,21 @@ class EventQueue
     /** Cold path of pushBucket: a key-overtaking (channel) insert. */
     void insertSorted(Bucket &b, Entry e);
 
-    /** Move overflow events that entered the window into the ring. */
-    void migrate();
+    /**
+     * Move overflow events that entered the window into the ring. Runs
+     * twice per event (schedule and pop), and the heap is nearly always
+     * empty or still beyond the window, so the head check is inline and
+     * only an actual migration leaves the caller.
+     */
+    void
+    migrate()
+    {
+        if (!overflow_.empty() && overflow_.top().when - now_ < window)
+            migrateDue();
+    }
+
+    /** migrate()'s out-of-line body: the heap head is due. */
+    void migrateDue();
 
     /** Run the tick watcher and rearm/disarm from its return value. */
     void fireTickWatcher();

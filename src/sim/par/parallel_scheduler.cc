@@ -48,7 +48,7 @@ ParallelScheduler::~ParallelScheduler() = default;
 
 void
 ParallelScheduler::post(NodeId dst, Tick when, std::uint64_t chan,
-                        EventQueue::Callback cb)
+                        EventQueue::Callback &&cb)
 {
     if (directDispatch()) {
         // Fast path: no staging, no sort, no barrier. The queue's

@@ -101,7 +101,7 @@ class ParallelScheduler final : public SimContext
     }
 
     void post(NodeId dst, Tick when, std::uint64_t chan,
-              EventQueue::Callback cb) override;
+              EventQueue::Callback &&cb) override;
 
     Tick runUntil(Tick limit) override;
     Tick now() const override;

@@ -124,10 +124,11 @@ class SimContext
      *
      * @p chan identifies the logical FIFO the event belongs to (see
      * namespace chan). @p when must be at least the engine's lookahead
-     * window beyond the posting event's tick.
+     * window beyond the posting event's tick. @p cb is taken by rvalue
+     * reference and moved once, into the destination's slot or lane.
      */
     virtual void post(NodeId dst, Tick when, std::uint64_t chan,
-                      EventQueue::Callback cb) = 0;
+                      EventQueue::Callback &&cb) = 0;
 
     /** Drive the simulation until drained or beyond @p limit. */
     virtual Tick runUntil(Tick limit) = 0;
@@ -181,7 +182,8 @@ class SequentialContext final : public SimContext
     StatGroup &shardStats(unsigned) override { return *stats_; }
 
     void
-    post(NodeId, Tick when, std::uint64_t, EventQueue::Callback cb) override
+    post(NodeId, Tick when, std::uint64_t,
+         EventQueue::Callback &&cb) override
     {
         eq_->scheduleAt(when, std::move(cb));
     }

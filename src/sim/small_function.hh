@@ -10,6 +10,14 @@
  * falls back to the heap for oversized or throwing-move callables, so
  * the steady-state schedule/execute cycle performs zero allocations.
  *
+ * Relocation: a trivially copyable, trivially destructible callable
+ * (ids, pool handles, `this` — every hot-path capture) moves as one
+ * fixed-size memcpy of the inline buffer and has no destroy thunk, so
+ * the moves an event makes between its post and its execution cost a
+ * few vector stores, not an indirect call each. Only non-trivial
+ * captures (a `std::function`, the heap fallback) keep the relocate
+ * and destroy thunks.
+ *
  * Differences from std::function, by design:
  *  - move-only (a copyable wrapper would force copyable captures);
  *  - no target-type introspection;
@@ -21,6 +29,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -53,7 +62,10 @@ class SmallFunction
         using Fn = std::decay_t<F>;
         if constexpr (fitsInline<Fn>()) {
             ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
-            ops_ = &inlineOps<Fn>;
+            if constexpr (trivialInline<Fn>)
+                ops_ = &trivialOps<Fn>;
+            else
+                ops_ = &inlineOps<Fn>;
         } else {
             *reinterpret_cast<Fn **>(buf_) = new Fn(std::forward<F>(f));
             ops_ = &heapOps<Fn>;
@@ -91,13 +103,19 @@ class SmallFunction
     reset()
     {
         if (ops_) {
-            ops_->destroy(buf_);
+            if (ops_->destroy)
+                ops_->destroy(buf_);
             ops_ = nullptr;
         }
     }
 
   private:
-    /** Manually-managed vtable: one static instance per callable type. */
+    /**
+     * Manually-managed vtable: one static instance per callable type.
+     * A null `relocate` means "memcpy the buffer" and a null `destroy`
+     * means "nothing to run": both hold exactly for inline callables
+     * that are trivially copyable and trivially destructible.
+     */
     struct Ops
     {
         void (*invoke)(void *storage);
@@ -116,8 +134,20 @@ class SmallFunction
     }
 
     template <typename Fn>
+    static constexpr bool trivialInline =
+        std::is_trivially_copyable_v<Fn> &&
+        std::is_trivially_destructible_v<Fn>;
+
+    template <typename Fn>
+    static void
+    invokeInline(void *s)
+    {
+        (*static_cast<Fn *>(s))();
+    }
+
+    template <typename Fn>
     static constexpr Ops inlineOps = {
-        [](void *s) { (*static_cast<Fn *>(s))(); },
+        &invokeInline<Fn>,
         [](void *src, void *dst) noexcept {
             Fn *f = static_cast<Fn *>(src);
             ::new (dst) Fn(std::move(*f));
@@ -125,6 +155,9 @@ class SmallFunction
         },
         [](void *s) { static_cast<Fn *>(s)->~Fn(); },
     };
+
+    template <typename Fn>
+    static constexpr Ops trivialOps = {&invokeInline<Fn>, nullptr, nullptr};
 
     template <typename Fn>
     static constexpr Ops heapOps = {
@@ -139,7 +172,10 @@ class SmallFunction
     moveFrom(SmallFunction &o) noexcept
     {
         if (o.ops_) {
-            o.ops_->relocate(o.buf_, buf_);
+            if (o.ops_->relocate)
+                o.ops_->relocate(o.buf_, buf_);
+            else
+                std::memcpy(buf_, o.buf_, inlineSize);
             ops_ = o.ops_;
             o.ops_ = nullptr;
         }

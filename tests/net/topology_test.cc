@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "net/network.hh"
@@ -221,6 +225,144 @@ TEST(TopologyGeometry, NeighborsAreMutual)
             }
         }
     }
+}
+
+// ---- routing oracle: precomputed tables vs. coordinate arithmetic -------
+
+/** Reference position: the division the geometry's table replaces. */
+Coord
+refCoord(const TopologyGeometry &g, NodeId node)
+{
+    return Coord{unsigned(node) % g.width(), unsigned(node) / g.width()};
+}
+
+/** Reference one-dimension step toward @p to (shorter wrap direction,
+ *  ties toward the increasing coordinate). */
+unsigned
+refStep(unsigned from, unsigned to, unsigned extent, bool wraps)
+{
+    if (!wraps)
+        return from < to ? from + 1 : from - 1;
+    unsigned fwd = (to + extent - from) % extent;
+    unsigned bwd = extent - fwd;
+    return fwd <= bwd ? (from + 1) % extent : (from + extent - 1) % extent;
+}
+
+/** Reference minimal next nodes: one step per unresolved dimension,
+ *  X first; element 0 is the dimension-order next hop. */
+std::vector<NodeId>
+refProductiveHops(const TopologyGeometry &g, NodeId at, NodeId dst)
+{
+    Coord c = refCoord(g, at);
+    Coord d = refCoord(g, dst);
+    std::vector<NodeId> hops;
+    if (c.x != d.x)
+        hops.push_back(NodeId(c.y * g.width() +
+                              refStep(c.x, d.x, g.width(), g.wraps())));
+    if (c.y != d.y)
+        hops.push_back(NodeId(refStep(c.y, d.y, g.height(), g.wraps()) *
+                                  g.width() +
+                              c.x));
+    return hops;
+}
+
+unsigned
+refAxisDistance(unsigned a, unsigned b, unsigned extent, bool wraps)
+{
+    unsigned d = a > b ? a - b : b - a;
+    return wraps ? std::min(d, extent - d) : d;
+}
+
+/** Reference route length: per-dimension (wrap-aware) distance. */
+unsigned
+refHopCount(const TopologyGeometry &g, NodeId src, NodeId dst)
+{
+    Coord s = refCoord(g, src);
+    Coord d = refCoord(g, dst);
+    return refAxisDistance(s.x, d.x, g.width(), g.wraps()) +
+           refAxisDistance(s.y, d.y, g.height(), g.wraps());
+}
+
+/**
+ * Every (at, dst) pair: the table-driven output links the router takes
+ * (dorLink under DOR, productiveLinksInto under adaptive and oblivious
+ * routing), the link dimension that picks the dateline VC, and the hop
+ * count sampled into hopsPerMsg must equal the coordinate definitions
+ * above. Stops at the first mismatch per geometry.
+ */
+void
+checkRoutingOracle(const TopologyGeometry &g)
+{
+    const NodeId n = g.numNodes();
+    for (NodeId node = 0; node < n; ++node) {
+        ASSERT_EQ(g.coordOf(node), refCoord(g, node)) << "node " << node;
+    }
+    for (NodeId at = 0; at < n; ++at) {
+        ASSERT_EQ(g.hopCount(at, at), 0u);
+        for (NodeId dst = 0; dst < n; ++dst) {
+            if (at == dst)
+                continue;
+            std::vector<NodeId> hops = refProductiveHops(g, at, dst);
+            std::size_t links[2];
+            unsigned n = g.productiveLinksInto(at, dst, links);
+            ASSERT_EQ(n, hops.size()) << at << "->" << dst;
+            ASSERT_EQ(g.dorLink(at, dst), links[0]) << at << "->" << dst;
+            ASSERT_EQ(g.nextHop(at, dst), hops[0]) << at << "->" << dst;
+            for (unsigned i = 0; i < n; ++i) {
+                ASSERT_LT(links[i], g.numLinks()) << at << "->" << dst;
+                const TopoLink &link = g.link(links[i]);
+                Coord a = refCoord(g, at);
+                Coord b = refCoord(g, hops[i]);
+                unsigned dim = a.x != b.x ? 0 : 1;
+                unsigned dx = a.x > b.x ? a.x - b.x : b.x - a.x;
+                unsigned dy = a.y > b.y ? a.y - b.y : b.y - a.y;
+                ASSERT_EQ(link.from, at) << at << "->" << dst;
+                ASSERT_EQ(link.to, hops[i]) << at << "->" << dst;
+                ASSERT_EQ(g.linkIndex(at, hops[i]), int(links[i]))
+                    << at << "->" << dst;
+                ASSERT_EQ(unsigned(link.dim), dim) << at << "->" << dst;
+                ASSERT_EQ(link.wrap, dx > 1 || dy > 1) << at << "->" << dst;
+            }
+            ASSERT_EQ(g.hopCount(at, dst), refHopCount(g, at, dst))
+                << at << "->" << dst;
+        }
+    }
+}
+
+TEST(TopologyGeometry, RouteTablesMatchCoordinateArithmetic)
+{
+    const std::pair<unsigned, unsigned> shapes[] = {
+        {4, 4}, {2, 8}, {8, 8}, {32, 32}};
+    for (auto [w, h] : shapes) {
+        for (TopologyKind k : {TopologyKind::Mesh2D, TopologyKind::Torus2D,
+                               TopologyKind::Ring}) {
+            SCOPED_TRACE(std::string(topologyKindName(k)) + " " +
+                         std::to_string(w) + "x" + std::to_string(h));
+            TopologyGeometry g(k, NodeId(w * h),
+                               k == TopologyKind::Ring ? 0 : w);
+            if (k != TopologyKind::Ring) {
+                ASSERT_EQ(g.width(), w);
+                ASSERT_EQ(g.height(), h);
+            }
+            checkRoutingOracle(g);
+            if (HasFatalFailure())
+                return;
+        }
+    }
+}
+
+TEST(TopologyGeometry, LinkEnumerationAndPointToPointHasNoTables)
+{
+    // Four links per torus router, enumerated by source node.
+    // Point-to-point geometries enumerate no links at all.
+    TopologyGeometry g(TopologyKind::Torus2D, 64);
+    EXPECT_EQ(g.numLinks(), 256u);
+    for (std::size_t l = 0; l < g.numLinks(); ++l)
+        EXPECT_EQ(g.linkIndex(g.link(l).from, g.link(l).to), int(l));
+    EXPECT_EQ(g.linkIndex(0, 9), -1); // diagonal: not adjacent
+    TopologyGeometry p2p(TopologyKind::PointToPoint, 64);
+    EXPECT_EQ(p2p.numLinks(), 0u);
+    EXPECT_EQ(p2p.linkIndex(0, 1), -1);
 }
 
 // ---- RoutedNetwork timing ------------------------------------------------
