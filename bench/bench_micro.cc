@@ -123,6 +123,34 @@ BM_EventQueueSteadyState(benchmark::State &state)
 BENCHMARK(BM_EventQueueSteadyState);
 
 /**
+ * Event-queue tick burst, the barrier-release pattern: 256 events (one
+ * wake-up per waiting thread) scheduled for one tick 200 ticks ahead,
+ * then executed back to back. One iteration is one release; the queue
+ * is warm (the first releases grow the slot arena). Reports ns per
+ * event, schedule and execute included.
+ */
+void
+BM_EventQueueTickBurst(benchmark::State &state)
+{
+    constexpr int burst = 256;
+    EventQueue eq;
+    std::uint64_t woken = 0;
+    auto release = [&] {
+        Tick at = eq.now() + 200;
+        for (int i = 0; i < burst; ++i)
+            eq.scheduleAt(at, [&woken] { ++woken; });
+        eq.run();
+    };
+    for (int i = 0; i < 100; ++i)
+        release();
+    for (auto _ : state)
+        release();
+    benchmark::DoNotOptimize(woken);
+    state.SetItemsProcessed(std::int64_t(state.iterations()) * burst);
+}
+BENCHMARK(BM_EventQueueTickBurst);
+
+/**
  * Router hop without contention: an 8x8 mesh, dimension-order routing,
  * unbounded VCs. Each iteration sends four corner-to-corner messages
  * (0->63, 63->0, 7->56, 56->7: 14 hops each, on disjoint directed

@@ -12,9 +12,9 @@ NiInterconnect::NiInterconnect(SimContext &ctx, NodeId num_nodes,
                                NetworkParams params)
     : params_(params),
       ctx_(&ctx),
-      pool_(ctx.numShards()),
       nodeQueue_(num_nodes),
       nodeShard_(num_nodes),
+      pool_(ctx.numShards()),
       niEgressFree_(num_nodes, 0),
       ingressQueue_(num_nodes),
       ingressBusy_(num_nodes, 0),

@@ -28,7 +28,11 @@ RoutedNetwork::RoutedNetwork(SimContext &ctx, NodeId num_nodes,
     : NiInterconnect(ctx, num_nodes, params),
       geom_(params.topology, num_nodes, params.meshWidth),
       sendSeq_(std::size_t(num_nodes) * num_nodes, 0),
-      pairs_(std::size_t(num_nodes) * num_nodes)
+      // Dimension-order routing sends every message of a pair down the
+      // same path and VCs, in FIFO order: nothing to reorder.
+      pairs_(params.routing == RoutingPolicy::DimensionOrder
+                 ? 0
+                 : std::size_t(num_nodes) * num_nodes)
 {
     assert(params_.topology != TopologyKind::PointToPoint &&
            "use Network for the point-to-point model");
@@ -148,7 +152,7 @@ RoutedNetwork::forward(NodeId at, MsgHandle h, std::int32_t in_link,
         l = geom_.dorLink(at, msg.dst);
         vc = escapeVc(links_[l], msg);
     } else {
-        std::size_t cands[2];
+        std::size_t cands[2] = {};
         unsigned n = geom_.productiveLinksInto(at, msg.dst, cands);
         unsigned pick = 0;
         if (n > 1) {
@@ -420,7 +424,10 @@ RoutedNetwork::arriveAtRouter(std::size_t l, std::uint8_t vc, MsgHandle h)
         // immediately.
         if (bounded())
             scheduleCreditReturn(l, vc, q(at).now());
-        reorderDeliver(h);
+        if (pairs_.empty())
+            arriveAtIngress(h); // dimension-order: already pairwise FIFO
+        else
+            reorderDeliver(h);
         return;
     }
     forward(at, h, std::int32_t(l), vc);
@@ -486,6 +493,7 @@ RoutedNetwork::guardCheckQuiesce() const
             }
         }
     }
+    // No reorder buffers under dimension-order routing (pairs_ empty).
     for (std::size_t p = 0; p < pairs_.size(); ++p) {
         const PairState &ps = pairs_[p];
         if (!ps.pending.empty()) {

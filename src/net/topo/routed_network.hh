@@ -31,7 +31,8 @@
  * messages in flight; a per-pair sequence number stamped at injection
  * and an ingress reorder buffer restore the pairwise FIFO delivery
  * order the coherence protocol relies on. Dimension-order routing never
- * reorders, so the reorder buffer is a pure pass-through there — with
+ * reorders, so it allocates no reorder buffer and delivers straight to
+ * the ingress NI (the stamp still feeds the pairwise-FIFO checker) — with
  * the default unbounded buffers that configuration is tick-for-tick
  * identical to the original per-link FIFO model.
  *
@@ -265,7 +266,8 @@ class RoutedNetwork : public NiInterconnect
 
     /** Per-(src, dst) next injection sequence number. */
     std::vector<std::uint32_t> sendSeq_;
-    /** Per-(src, dst) ingress reorder buffers. */
+    /** Per-(src, dst) ingress reorder buffers; empty under
+     *  dimension-order routing, which never reorders a pair. */
     std::vector<PairState> pairs_;
 
     /** Oblivious-routing coin flip for @p msg leaving router @p at: a

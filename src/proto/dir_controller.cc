@@ -176,7 +176,9 @@ Tick
 DirController::handleRequest(const Message &msg)
 {
     DirEntry &e = dir_.entry(msg.addr);
-    sharing_.observeRequest(msg.addr, msg.src);
+    // The sharing history only feeds forwarding's predictNext().
+    if (params_.enableForwarding)
+        sharing_.observeRequest(msg.addr, msg.src);
     if (msg.type == MsgType::GetS)
         return handleGetS(msg, e);
     return handleGetX(msg, e);
@@ -203,8 +205,7 @@ DirController::handleGetS(const Message &msg, DirEntry &e)
         reply.dsiCandidate = dsiCandidate(msg, e, false);
         reply.verification = verdict;
         Tick latency = params_.engineOverhead + params_.memAccess;
-        send(reply, latency);
-        lockUntilSent(blk, latency);
+        sendAndUnlock(reply, latency);
         return latency;
       }
       case DirState::Exclusive: {
@@ -254,8 +255,7 @@ DirController::handleGetX(const Message &msg, DirEntry &e)
         reply.dsiCandidate = cand;
         reply.verification = verdict;
         Tick latency = params_.engineOverhead + params_.memAccess;
-        send(reply, latency);
-        lockUntilSent(blk, latency);
+        sendAndUnlock(reply, latency);
         return latency;
       }
       case DirState::Shared: {
@@ -277,8 +277,7 @@ DirController::handleGetX(const Message &msg, DirEntry &e)
             reply.dsiCandidate = false;
             reply.verification = verdict;
             Tick latency = params_.engineOverhead;
-            send(reply, latency);
-            lockUntilSent(blk, latency);
+            sendAndUnlock(reply, latency);
             return latency;
         }
         e.busy = true;
@@ -394,10 +393,9 @@ DirController::completeWithWriteback(Addr blk, DirEntry &e, Txn &txn)
         reply.type = MsgType::DataS;
     }
     Tick latency = params_.engineOverhead + params_.memAccess;
-    send(reply, latency);
     txns_.erase(blk);
     txnVerdicts_.erase(blk);
-    lockUntilSent(blk, latency);
+    sendAndUnlock(reply, latency);
     return latency;
 }
 
@@ -421,10 +419,9 @@ DirController::completeInvalidation(Addr blk, DirEntry &e, Txn &txn)
     reply.dsiCandidate = cand;
     reply.verification = txnVerdicts_[blk];
     Tick latency = params_.engineOverhead + params_.memAccess;
-    send(reply, latency);
     txns_.erase(blk);
     txnVerdicts_.erase(blk);
-    lockUntilSent(blk, latency);
+    sendAndUnlock(reply, latency);
     return latency;
 }
 
@@ -503,8 +500,7 @@ DirController::handleSelfInvOrEvict(const Message &msg)
                     fwd.version = e.version;
                     Tick latency =
                         params_.engineOverhead + params_.memAccess;
-                    send(fwd, latency);
-                    lockUntilSent(blk, latency);
+                    sendAndUnlock(fwd, latency);
                     return latency;
                 }
             }
@@ -536,10 +532,18 @@ DirController::send(Message msg, Tick delay)
 }
 
 void
-DirController::lockUntilSent(Addr blk, Tick delay)
+DirController::sendAndUnlock(Message msg, Tick delay)
 {
-    dir_.entry(blk).busy = true;
-    eq_.scheduleIn(delay, [this, blk] { unlock(blk); });
+    // The unlock runs at the end of the send event, not as an event of
+    // its own: a separate unlock event scheduled right after the send
+    // would share its tick and ordering key and take the next sequence
+    // number, so no other event's (tick, key, sequence) could fall
+    // between the two. One event is therefore the same schedule.
+    dir_.entry(msg.addr).busy = true;
+    eq_.scheduleIn(delay, [this, msg] {
+        net_.send(msg);
+        unlock(msg.addr);
+    });
 }
 
 void

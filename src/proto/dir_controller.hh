@@ -126,13 +126,13 @@ class DirController
     void send(Message msg, Tick delay);
 
     /**
-     * Mark @p blk busy and release it after @p delay — used when a data
-     * reply is still being assembled: any new request for the block is
-     * deferred until the reply is on the wire, which (with FIFO
-     * channels) guarantees the requester's fill arrives before any
-     * invalidation we later send it.
+     * Send the data reply @p msg after @p delay, keeping its block busy
+     * until then: while the reply is still being assembled any new
+     * request for the block is deferred until the reply is on the
+     * wire, which (with FIFO channels) guarantees the requester's fill
+     * arrives before any invalidation we later send it.
      */
-    void lockUntilSent(Addr blk, Tick delay);
+    void sendAndUnlock(Message msg, Tick delay);
     void unlock(Addr blk);
 
     NodeId node_;

@@ -9,42 +9,95 @@
 namespace ltp
 {
 
-EventQueue::EventQueue() : buckets_(window) {}
+std::uint32_t
+EventQueue::acquire()
+{
+    if (freeHead_ != nil) {
+        std::uint32_t s = freeHead_;
+        freeHead_ = slot(s).next;
+        return s;
+    }
+    assert(slotsUsed_ < slotMask && "event slot arena exhausted");
+    if ((slotsUsed_ & slabMask) == 0)
+        slabs_.push_back(std::make_unique<Slot[]>(slabSize));
+    return slotsUsed_++;
+}
 
 void
-EventQueue::pushBucket(Tick when, Entry e)
+EventQueue::pushBucket(std::uint32_t s)
 {
-    assert(when - now_ < window);
-    std::size_t idx = std::size_t(when) & windowMask;
+    Slot &e = slot(s);
+    assert(e.when - now_ < window);
+    std::size_t idx = std::size_t(e.when) & windowMask;
     Bucket &b = buckets_[idx];
-    if (b.entries.empty() || !entryBefore(e, b.entries.back())) {
+    e.next = nil;
+    if (b.head == nil) {
+        b.head = b.tail = s;
+        bitmap_[idx >> 6] |= std::uint64_t(1) << (idx & 63);
+    } else if (!slotBefore(e, slot(b.tail))) {
         // Hot path: keys are nondecreasing for plain scheduleAt()
         // traffic (phase fixed, sequence monotonic), so this is a pure
-        // append exactly like the historical FIFO bucket.
-        b.entries.push_back(e);
+        // FIFO append.
+        slot(b.tail).next = s;
+        b.tail = s;
     } else {
-        insertSorted(b, e);
+        insertSorted(b, s);
     }
-    bitmap_[idx >> 6] |= std::uint64_t(1) << (idx & 63);
-    ++bucketedEntries_;
+    ++bucketed_;
 }
 
 // Out of line on purpose: only a channel post overtaking same-tick
-// entries of a later key (a larger channel id, or the round's locals
-// scheduled after it) lands here, and keeping the binary search out of
+// events of a later key (a larger channel id, or the round's locals
+// scheduled after it) lands here, and keeping the list walk out of
 // pushBucket() keeps the append path's code footprint minimal.
 __attribute__((noinline)) void
-EventQueue::insertSorted(Bucket &b, Entry e)
+EventQueue::insertSorted(Bucket &b, std::uint32_t s)
 {
-    // Never insert before `head`: the prefix holds only consumed
-    // tombstones (live entries with a larger key cannot have run —
-    // execution is in key order and posts never target a tick that is
-    // already executing). Buckets are small; binary search finds the
-    // spot.
-    auto pos = std::upper_bound(
-        b.entries.begin() + std::ptrdiff_t(b.head), b.entries.end(), e,
-        [](const Entry &a, const Entry &x) { return entryBefore(a, x); });
-    b.entries.insert(pos, e);
+    // The list holds pending events only (executed and cancelled ones
+    // are unlinked), and @p s sorts before the tail, so the walk ends
+    // inside the list.
+    Slot &e = slot(s);
+    if (slotBefore(e, slot(b.head))) {
+        e.next = b.head;
+        b.head = s;
+        return;
+    }
+    std::uint32_t prev = b.head;
+    while (!slotBefore(e, slot(slot(prev).next)))
+        prev = slot(prev).next;
+    e.next = slot(prev).next;
+    slot(prev).next = s;
+}
+
+void
+EventQueue::popHead(std::size_t idx)
+{
+    Bucket &b = buckets_[idx];
+    b.head = slot(b.head).next;
+    if (b.head == nil) {
+        b.tail = nil;
+        bitmap_[idx >> 6] &= ~(std::uint64_t(1) << (idx & 63));
+    }
+    --bucketed_;
+}
+
+void
+EventQueue::unlinkBucket(std::uint32_t s)
+{
+    Slot &e = slot(s);
+    std::size_t idx = std::size_t(e.when) & windowMask;
+    Bucket &b = buckets_[idx];
+    if (b.head == s) {
+        popHead(idx);
+        return;
+    }
+    std::uint32_t prev = b.head;
+    while (slot(prev).next != s)
+        prev = slot(prev).next;
+    slot(prev).next = e.next;
+    if (b.tail == s)
+        b.tail = prev;
+    --bucketed_;
 }
 
 // Out of line: reached only when an overflow event entered the window.
@@ -52,13 +105,25 @@ __attribute__((noinline)) void
 EventQueue::migrateDue()
 {
     while (!overflow_.empty() && overflow_.top().when - now_ < window) {
-        OverflowEntry e = overflow_.top();
+        EventId id = overflow_.top().id;
         overflow_.pop();
-        std::uint32_t slot = std::uint32_t(e.entry.id & slotMask);
-        if (slots_[slot].id != e.entry.id)
+        std::uint32_t s = std::uint32_t(id & slotMask);
+        if (slot(s).id != id)
             continue; // cancelled while parked in the overflow heap
-        pushBucket(e.when, e.entry);
+        slot(s).parked = false;
+        pushBucket(s);
         ++overflowMigrations_;
+    }
+}
+
+void
+EventQueue::pruneOverflow()
+{
+    while (!overflow_.empty()) {
+        EventId id = overflow_.top().id;
+        if (slot(std::uint32_t(id & slotMask)).id == id)
+            return;
+        overflow_.pop();
     }
 }
 
@@ -79,33 +144,27 @@ EventQueue::scheduleKeyed(Tick when, std::uint64_t key, Callback &&cb)
     // regardless, but migrating early keeps the ring scan cheap.
     migrate();
 
-    std::uint32_t slot;
-    if (!freeList_.empty()) {
-        slot = freeList_.back();
-        freeList_.pop_back();
-    } else {
-        assert(slots_.size() < slotMask && "event slot arena exhausted");
-        slot = std::uint32_t(slots_.size());
-        slots_.emplace_back();
-    }
+    std::uint32_t s = acquire();
+    EventId id = (nextGen_++ << slotBits) | s;
+    Slot &e = slot(s);
+    e.id = id;
+    e.when = when;
+    e.key = key;
+    e.cb = std::move(cb);
 
-    EventId id = (nextGen_++ << slotBits) | slot;
-    slots_[slot].id = id;
-    slots_[slot].when = when;
-    slots_[slot].cb = std::move(cb);
-
-    Entry e{id, key};
     bool force_overflow =
         guard::Faults::on(guard::FaultKind::CalendarOverflow) &&
         guard::Faults::instance().calendarOverflowHit(nextGen_);
     if (when - now_ < window && !force_overflow) {
-        pushBucket(when, e);
+        e.parked = false;
+        pushBucket(s);
     } else {
         // Far-future event — or the cal-overflow fault pretending it
-        // is one. Either way the entry waits in the heap and migrate()
+        // is one. Either way the event waits in the heap and migrate()
         // moves it into the ring before it can fire, so the forced
         // detour is invisible to results.
-        overflow_.push(OverflowEntry{when, e});
+        e.parked = true;
+        overflow_.push(OverflowEntry{when, key, id});
     }
     ++liveEvents_;
     return id;
@@ -115,15 +174,17 @@ bool
 EventQueue::cancel(EventId id)
 {
     if (id == 0)
-        return false; // the null handle; free slots carry id 0
-    std::uint32_t slot = std::uint32_t(id & slotMask);
-    if (slot >= slots_.size() || slots_[slot].id != id)
-        return false; // already ran, already cancelled, or never existed
-    slots_[slot].cb.reset();
-    release(slot);
+        return false; // the null handle; non-live slots carry id 0
+    std::uint32_t s = std::uint32_t(id & slotMask);
+    if (s >= slotsUsed_ || slot(s).id != id)
+        return false; // already ran (or running), already cancelled,
+                      // or never existed
+    // A parked event's heap entry stays behind; its tag no longer
+    // matches the recycled slot, so the heap paths drop it.
+    if (!slot(s).parked)
+        unlinkBucket(s);
+    release(s);
     --liveEvents_;
-    // The ring/overflow entry stays behind as a tombstone; its tag no
-    // longer matches the slot, so the pop path skips it.
     return true;
 }
 
@@ -150,123 +211,85 @@ EventQueue::firstBucket() const
 std::int64_t
 EventQueue::popNextLive(Tick limit)
 {
-    while (liveEvents_ > 0) {
-        migrate();
+    if (liveEvents_ == 0)
+        return -1;
+    migrate();
 
-        if (bucketedEntries_ > 0) {
-            std::size_t idx = firstBucket();
-            Bucket &b = buckets_[idx];
-            while (b.head < b.entries.size()) {
-                EventId id = b.entries[b.head].id;
-                std::uint32_t slot = std::uint32_t(id & slotMask);
-                if (slots_[slot].id != id) {
-                    ++b.head; // tombstone from a cancelled event
-                    --bucketedEntries_;
-                    continue;
-                }
-                if (slots_[slot].when > limit)
-                    return -1; // leave it pending for a later run
-                ++b.head;
-                --bucketedEntries_;
-                if (b.head == b.entries.size())
-                    clearBucket(idx);
-                return std::int64_t(slot);
-            }
-            clearBucket(idx); // all tombstones: rescan
-            continue;
-        }
-
-        // Ring empty: the next event is a far-future one in the overflow
-        // heap (migrate() above guarantees overflow events are beyond
-        // the current window, hence later than anything bucketed).
-        while (!overflow_.empty()) {
-            OverflowEntry e = overflow_.top();
-            std::uint32_t slot = std::uint32_t(e.entry.id & slotMask);
-            if (slots_[slot].id != e.entry.id) {
-                overflow_.pop(); // tombstone
-                continue;
-            }
-            if (e.when > limit)
-                return -1;
-            overflow_.pop();
-            return std::int64_t(slot);
-        }
-        assert(false && "live events but empty ring and overflow");
-        break;
+    if (bucketed_ > 0) {
+        std::size_t idx = firstBucket();
+        std::uint32_t s = buckets_[idx].head;
+        if (slot(s).when > limit)
+            return -1; // leave it pending for a later run
+        popHead(idx);
+        return std::int64_t(s);
     }
-    return -1;
+
+    // Ring empty: the next event is a far-future one in the overflow
+    // heap (migrate() above guarantees overflow events are beyond the
+    // current window, hence later than anything bucketed).
+    pruneOverflow();
+    assert(!overflow_.empty() && "live events but empty ring and overflow");
+    const OverflowEntry &top = overflow_.top();
+    if (top.when > limit)
+        return -1;
+    std::uint32_t s = std::uint32_t(top.id & slotMask);
+    overflow_.pop();
+    return std::int64_t(s);
 }
 
 Tick
 EventQueue::nextEventTick()
 {
-    while (liveEvents_ > 0) {
-        migrate();
-
-        if (bucketedEntries_ > 0) {
-            std::size_t idx = firstBucket();
-            Bucket &b = buckets_[idx];
-            while (b.head < b.entries.size()) {
-                EventId id = b.entries[b.head].id;
-                std::uint32_t slot = std::uint32_t(id & slotMask);
-                if (slots_[slot].id != id) {
-                    ++b.head; // tombstone from a cancelled event
-                    --bucketedEntries_;
-                    continue;
-                }
-                return slots_[slot].when;
-            }
-            clearBucket(idx); // all tombstones: rescan
-            continue;
-        }
-
-        while (!overflow_.empty()) {
-            OverflowEntry e = overflow_.top();
-            std::uint32_t slot = std::uint32_t(e.entry.id & slotMask);
-            if (slots_[slot].id != e.entry.id) {
-                overflow_.pop(); // tombstone
-                continue;
-            }
-            return e.when;
-        }
-        assert(false && "live events but empty ring and overflow");
-        break;
-    }
-    return tickNever;
+    if (liveEvents_ == 0)
+        return tickNever;
+    migrate();
+    if (bucketed_ > 0)
+        return slot(buckets_[firstBucket()].head).when;
+    pruneOverflow();
+    assert(!overflow_.empty() && "live events but empty ring and overflow");
+    return overflow_.top().when;
 }
 
 void
-EventQueue::executeSlot(std::uint32_t slot)
+EventQueue::executeSlot(std::uint32_t s)
 {
-    assert(slots_[slot].when >= now_);
-    now_ = slots_[slot].when;
-    // Move the callback out and recycle the slot *before* invoking: the
-    // callback may schedule new events (growing the slot arena) or even
-    // reuse this very slot.
-    Callback cb = std::move(slots_[slot].cb);
-    release(slot);
+    Slot &e = slot(s);
+    assert(e.when >= now_);
+    now_ = e.when;
+    // Run the callback where it lies: slabs never move, so the callback
+    // may schedule new events (even growing the arena) under itself.
+    // The slot is already not live — cancel() of the running event's id
+    // fails — and only rejoins the free list once the call is over, so
+    // nothing can reuse it mid-call.
+    e.id = 0;
     --liveEvents_;
     ++executed_;
-    cb();
+    struct ReleaseOnExit
+    {
+        EventQueue &q;
+        std::uint32_t s;
+        ~ReleaseOnExit() { q.release(s); }
+    } done{*this, s};
+    e.cb();
 }
 
 bool
 EventQueue::step()
 {
-    std::int64_t slot = popNextLive(tickNever);
-    if (slot < 0)
+    std::int64_t s = popNextLive(tickNever);
+    if (s < 0)
         return false;
-    executeSlot(std::uint32_t(slot));
+    executeSlot(std::uint32_t(s));
     return true;
 }
 
 Tick
 EventQueue::runUntil(Tick limit)
 {
-    std::int64_t slot;
+    std::int64_t s;
     while (!abort_.load(std::memory_order_relaxed) &&
-           (slot = popNextLive(limit)) >= 0) {
-        executeSlot(std::uint32_t(slot));
+           (s = popNextLive(limit)) >= 0) {
+        executeSlot(std::uint32_t(s));
         if ((executed_ & (beatPeriod - 1)) == 0)
             publishProgress();
         if (now_ >= watchAt_)
@@ -279,10 +302,10 @@ EventQueue::runUntil(Tick limit)
 Tick
 EventQueue::runWindowed(Tick limit, Tick window)
 {
-    std::int64_t slot;
+    std::int64_t s;
     while (!abort_.load(std::memory_order_relaxed) &&
-           (slot = popNextLive(limit)) >= 0) {
-        Tick when = slots_[std::uint32_t(slot)].when;
+           (s = popNextLive(limit)) >= 0) {
+        Tick when = slot(std::uint32_t(s)).when;
         if (when > windowEnd_ || !windowOpen_) {
             // First event past the round (or the very first event, even
             // at tick 0): the staged engine would have hit a barrier
@@ -299,7 +322,7 @@ EventQueue::runWindowed(Tick limit, Tick window)
                 obs::Tracer::engineSpan("window", when, windowEnd_ + 1,
                                         windowEnd_ - when + 1);
         }
-        executeSlot(std::uint32_t(slot));
+        executeSlot(std::uint32_t(s));
         if ((executed_ & (beatPeriod - 1)) == 0)
             publishProgress();
         if (now_ >= watchAt_)

@@ -9,23 +9,29 @@
  *
  * Implementation (see src/sim/README.md for the full design notes):
  *
- *  - Callbacks live in a slab of pooled, recycled slots — a free-list
- *    arena — and are stored inline via SmallFunction, so the steady-state
- *    schedule/execute cycle performs zero heap allocations.
+ *  - Callbacks live in pooled, recycled slots stored inline via
+ *    SmallFunction, so the steady-state schedule/execute cycle performs
+ *    zero heap allocations. Slots sit in fixed 1024-slot slabs that
+ *    never move, so an event's callback runs in place, in its slot.
  *
  *  - An event id encodes its slot index plus a generation tag (the
- *    global schedule sequence number), so cancellation simply releases
- *    the slot: stale queue entries no longer match the slot's tag and
- *    are skipped on pop. The sequence number doubles as the
- *    FIFO tie-breaker.
+ *    global schedule sequence number). The sequence number doubles as
+ *    the FIFO tie-breaker, and the tag makes ids single-use: a stale id
+ *    never matches the slot's next occupant.
  *
- *  - Time order is a calendar: events within `window` ticks of now go
- *    into a per-tick bucket ring (O(1) push, bitmap-accelerated scan to
- *    the next non-empty tick); the rare far-future event waits in a
- *    binary-heap overflow area and migrates into the ring as the window
- *    advances. Nearly every simulator delay (NI occupancy, wire flight,
- *    memory access, barrier release) is far below the window, so the
- *    common path never touches the heap.
+ *  - Time order is a calendar: events within `window` ticks of now are
+ *    threaded, through a `next` link in their slots, onto the FIFO list
+ *    of their tick's bucket (an 8-byte head/tail pair; O(1) append,
+ *    bitmap-accelerated scan to the next non-empty tick); the rare
+ *    far-future event waits in a binary-heap overflow area and
+ *    migrates into the ring as the window advances. Nearly every
+ *    simulator delay (NI occupancy, wire flight, memory access,
+ *    barrier release) is far below the window, so the common path
+ *    never touches the heap.
+ *
+ *  - cancel() unlinks a ring event from its tick's list, so the ring
+ *    holds live events only; an overflow-heap entry is left behind and
+ *    dies by id-tag mismatch when it reaches the top.
  *
  * Same-tick order
  * ---------------
@@ -45,8 +51,8 @@
  *
  * This is the canonical (deliveryTick, channel) tie-break of the
  * parallel engine (src/sim/par/): a 1-shard ParallelScheduler posts
- * straight into the queue through scheduleAtChannel() and the sorted
- * bucket reproduces, insertion-order-independently, exactly the order
+ * straight into the queue through scheduleAtChannel() and the sorted tick
+ * list reproduces, insertion-order-independently, exactly the order
  * the multi-shard engine realizes by sorting its mailbox lanes at a
  * window barrier.
  */
@@ -58,6 +64,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <vector>
 
@@ -89,7 +96,7 @@ class EventQueue
      */
     using EventId = std::uint64_t;
 
-    EventQueue();
+    EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -282,17 +289,18 @@ class EventQueue
     /**
      * Tick of the earliest pending (non-cancelled) event, or tickNever
      * when the queue is drained. Used by the parallel engine to plan
-     * conservative windows; prunes tombstones as a side effect but
-     * never dequeues or executes anything.
+     * conservative windows; prunes overflow-heap tombstones as a side
+     * effect but never dequeues or executes anything.
      */
     Tick nextEventTick();
 
     /**
-     * Size of the slot arena (diagnostics/tests). Grows to the high-water
-     * mark of concurrently pending events, then stays flat: steady-state
-     * scheduling recycles slots instead of allocating.
+     * Slots handed out so far (diagnostics/tests). Grows to the
+     * high-water mark of concurrently pending events (plus the one
+     * executing), then stays flat: steady-state scheduling recycles
+     * slots instead of allocating.
      */
-    std::size_t poolSlots() const { return slots_.size(); }
+    std::size_t poolSlots() const { return slotsUsed_; }
 
   private:
     /** Low bits of an EventId select the slot; the rest are the tag. */
@@ -306,33 +314,37 @@ class EventQueue
     static constexpr std::size_t windowMask = window - 1;
     static constexpr std::size_t windowWords = window / 64;
 
-    /** One pooled event: its current id tag and the inline callback. */
-    struct Slot
-    {
-        EventId id = 0; //!< 0 = free (generations start at 1)
-        Tick when = 0;
-        Callback cb;
-    };
+    /** Slab geometry: 1024 slots per slab, allocated on demand. */
+    static constexpr unsigned slabShift = 10;
+    static constexpr std::uint32_t slabSize = 1u << slabShift;
+    static constexpr std::uint32_t slabMask = slabSize - 1;
 
-    /**
-     * One queued reference to a slot, carrying the ordering key packed
-     * as (phase << 32) | chan — phases and channel ids both fit 32
-     * bits (see scheduleAtChannel) — so the entry stays 16 bytes and a
-     * bucket comparison is two machine words. The schedule sequence
-     * lives in the id's generation bits, making the full order
-     * (phase, chan, sequence).
-     */
-    struct Entry
-    {
-        EventId id;
-        std::uint64_t key;
-    };
+    /** End-of-list marker for slot links. */
+    static constexpr std::uint32_t nil = ~std::uint32_t(0);
 
     /** Bits of the packed key available for the channel id. */
     static constexpr unsigned chanBits = 32;
 
+    /**
+     * One pooled event. `key` is the ordering key packed as
+     * (phase << 32) | chan — phases and channel ids both fit 32 bits
+     * (see scheduleAtChannel) — and the schedule sequence lives in the
+     * id's generation bits, making the full order (phase, chan,
+     * sequence). `next` threads the slot onto its tick's list while it
+     * is pending in the ring, and onto the free list while it is free.
+     */
+    struct Slot
+    {
+        Callback cb;
+        EventId id = 0; //!< 0 = not live: free or executing
+        Tick when = 0;
+        std::uint64_t key = 0;
+        std::uint32_t next = nil;
+        bool parked = false; //!< waiting in the overflow heap
+    };
+
     static bool
-    entryBefore(const Entry &a, const Entry &b)
+    slotBefore(const Slot &a, const Slot &b)
     {
         if (a.key != b.key)
             return a.key < b.key;
@@ -340,30 +352,43 @@ class EventQueue
     }
 
     /**
-     * One calendar tick's events, kept sorted by ordering key. `head`
-     * marks the consumed prefix (entries are popped front-to-back
-     * within a tick); insertions never land before `head` — see
-     * pushBucket().
+     * One calendar tick's pending events: a FIFO list of slots kept
+     * sorted by (key, id), linked through Slot::next.
      */
     struct Bucket
     {
-        std::vector<Entry> entries;
-        std::size_t head = 0;
+        std::uint32_t head = nil;
+        std::uint32_t tail = nil;
     };
 
     struct OverflowEntry
     {
         Tick when;
-        Entry entry; //!< stable key copy: slots may be recycled under it
+        std::uint64_t key; //!< stable copies: the slot may be recycled
+        EventId id;
 
         bool
         operator>(const OverflowEntry &o) const
         {
             if (when != o.when)
                 return when > o.when;
-            return entryBefore(o.entry, entry);
+            if (key != o.key)
+                return key > o.key;
+            return id > o.id;
         }
     };
+
+    Slot &
+    slot(std::uint32_t s)
+    {
+        return slabs_[s >> slabShift][s & slabMask];
+    }
+
+    const Slot &
+    slot(std::uint32_t s) const
+    {
+        return slabs_[s >> slabShift][s & slabMask];
+    }
 
     /**
      * The keyed implementation behind both schedule flavours. Every
@@ -373,11 +398,20 @@ class EventQueue
      */
     EventId scheduleKeyed(Tick when, std::uint64_t key, Callback &&cb);
 
-    /** Sorted-insert into the ring bucket for @p when (within window). */
-    void pushBucket(Tick when, Entry e);
+    /** Take a slot off the free list, or a fresh one from the slabs. */
+    std::uint32_t acquire();
+
+    /** Sorted-insert slot @p s into its tick's list (within window). */
+    void pushBucket(std::uint32_t s);
 
     /** Cold path of pushBucket: a key-overtaking (channel) insert. */
-    void insertSorted(Bucket &b, Entry e);
+    void insertSorted(Bucket &b, std::uint32_t s);
+
+    /** Dequeue the head of ring bucket @p idx (non-empty). */
+    void popHead(std::size_t idx);
+
+    /** Unlink pending ring slot @p s from its tick's list (cancel). */
+    void unlinkBucket(std::uint32_t s);
 
     /**
      * Move overflow events that entered the window into the ring. Runs
@@ -405,37 +439,40 @@ class EventQueue
      */
     std::int64_t popNextLive(Tick limit);
 
+    /** Pop cancelled events' entries off the overflow heap's top. */
+    void pruneOverflow();
+
     /** Ring index of the first non-empty bucket at or after now_. */
     std::size_t firstBucket() const;
 
-    /** Advance now_ to @p slot's tick, recycle it, run its callback. */
-    void executeSlot(std::uint32_t slot);
+    /**
+     * Advance now_ to @p s's tick and run its callback in place. The
+     * slot is not live during the call (its id no longer cancels) and
+     * goes back to the free list when the call returns or throws.
+     */
+    void executeSlot(std::uint32_t s);
 
+    /** Destroy @p s's callback and put the slot on the free list. */
     void
-    clearBucket(std::size_t idx)
+    release(std::uint32_t s)
     {
-        buckets_[idx].entries.clear();
-        buckets_[idx].head = 0;
-        bitmap_[idx >> 6] &= ~(std::uint64_t(1) << (idx & 63));
+        Slot &e = slot(s);
+        e.id = 0;
+        e.cb.reset();
+        e.next = freeHead_;
+        freeHead_ = s;
     }
 
-    /** Release @p slot back to the free list. */
-    void
-    release(std::uint32_t slot)
-    {
-        slots_[slot].id = 0;
-        freeList_.push_back(slot);
-    }
-
-    std::vector<Bucket> buckets_;           //!< window per-tick buckets
+    Bucket buckets_[window];                 //!< per-tick slot lists
     std::uint64_t bitmap_[windowWords] = {}; //!< non-empty-bucket bits
-    std::size_t bucketedEntries_ = 0;       //!< entries in the ring (incl. stale)
+    std::size_t bucketed_ = 0;               //!< events in the ring
     std::priority_queue<OverflowEntry, std::vector<OverflowEntry>,
                         std::greater<>>
         overflow_;
 
-    std::vector<Slot> slots_;
-    std::vector<std::uint32_t> freeList_;
+    std::vector<std::unique_ptr<Slot[]>> slabs_;
+    std::uint32_t slotsUsed_ = 0; //!< slots ever handed out
+    std::uint32_t freeHead_ = nil;
     Tick now_ = 0;
     Tick windowEnd_ = 0; //!< current canonical round's end (runWindowed)
     bool windowOpen_ = false; //!< a runWindowed round has ever begun

@@ -145,7 +145,7 @@ class FlatMap
     operator[](const K &key)
     {
         std::size_t idx;
-        if (capacity_ && probe(key, idx))
+        if (probe(key, idx))
             return slotAt(idx).val; // hit: no rehash, references stay valid
         reserveForInsert(key, idx);
         ::new (&slotAt(idx)) Slot{key, V()};
@@ -163,7 +163,7 @@ class FlatMap
     insert(const K &key, VV &&value)
     {
         std::size_t idx;
-        if (capacity_ && probe(key, idx)) {
+        if (probe(key, idx)) {
             slotAt(idx).val = std::forward<VV>(value);
         } else {
             reserveForInsert(key, idx);
@@ -297,7 +297,8 @@ class FlatMap
     /**
      * Find @p key's slot. @return true when found (idx = its bucket);
      * false when absent (idx = the empty bucket that ends its run —
-     * i.e., the insertion point). Requires capacity_ > 0.
+     * i.e., the insertion point; 0 in an unallocated map). Sets @p idx
+     * on every path, so callers may rely on it after the call.
      */
     bool
     probe(const K &key, std::size_t &idx) const

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <random>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -447,6 +452,208 @@ TEST(EventQueueChannel, RunWindowedDrivesRoundsLikeTheStagedEngine)
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 21, 23}));
     EXPECT_EQ(eq.now(), 15u);
     EXPECT_GE(eq.windowEnd(), 15u);
+}
+
+
+// ---- intrusive tick lists and in-place execution ----------------------
+
+/**
+ * Randomized same-tick order: scheduleAt / scheduleAtChannel /
+ * beginRound mixed over a handful of shared ticks (some beyond the
+ * calendar window, so the overflow heap and migration take part), run
+ * in chunks with more scheduling in between. Every chunk must execute
+ * exactly the pending events at or before its limit, in ascending
+ * (tick, phase, chan, seq) order.
+ */
+TEST(EventQueueLists, RandomizedKeyedMixMatchesReferenceSort)
+{
+    using Key = std::tuple<Tick, std::uint64_t, std::uint64_t,
+                           std::uint64_t>;
+    std::mt19937_64 rng(20240601);
+    EventQueue eq;
+    std::uint64_t phase = 0, seq = 0;
+    std::vector<std::pair<Key, std::uint64_t>> pending; // key -> token
+    std::vector<std::uint64_t> executed;
+
+    for (int chunk = 0; chunk < 200; ++chunk) {
+        int n = int(rng() % 40);
+        for (int i = 0; i < n; ++i) {
+            unsigned action = unsigned(rng() % 8);
+            if (action == 0) {
+                eq.beginRound();
+                phase += 2;
+                continue;
+            }
+            // Eight shared ticks; a stride of 700 reaches past the
+            // 2048-tick window.
+            Tick stride = (rng() % 2) ? 1 : 700;
+            Tick when = eq.now() + 1 + (rng() % 8) * stride;
+            std::uint64_t token = seq;
+            auto cb = [&executed, token] { executed.push_back(token); };
+            if (action < 4) {
+                eq.scheduleAt(when, cb);
+                pending.push_back({Key{when, phase, 0, seq}, token});
+            } else {
+                std::uint64_t chan = rng() % 5;
+                eq.scheduleAtChannel(when, chan, cb);
+                pending.push_back({Key{when, phase + 1, chan, seq}, token});
+            }
+            ++seq;
+        }
+        Tick limit = eq.now() + rng() % 1500;
+        std::sort(pending.begin(), pending.end());
+        std::vector<std::uint64_t> expect;
+        auto split = std::find_if(pending.begin(), pending.end(),
+                                  [&](const auto &p) {
+                                      return std::get<0>(p.first) > limit;
+                                  });
+        for (auto it = pending.begin(); it != split; ++it)
+            expect.push_back(it->second);
+        pending.erase(pending.begin(), split);
+
+        executed.clear();
+        eq.runUntil(limit);
+        ASSERT_EQ(executed, expect) << "chunk " << chunk;
+        ASSERT_EQ(eq.size(), pending.size());
+    }
+    executed.clear();
+    eq.run();
+    std::sort(pending.begin(), pending.end());
+    std::vector<std::uint64_t> expect;
+    for (const auto &p : pending)
+        expect.push_back(p.second);
+    EXPECT_EQ(executed, expect);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueueLists, CancelHeadMiddleAndTailOfOneTick)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    std::vector<EventQueue::EventId> ids;
+    for (int i = 0; i < 5; ++i)
+        ids.push_back(eq.scheduleAt(10, [&, i] { order.push_back(i); }));
+    EXPECT_TRUE(eq.cancel(ids[0])); // head
+    EXPECT_TRUE(eq.cancel(ids[2])); // middle
+    EXPECT_TRUE(eq.cancel(ids[4])); // tail
+    EXPECT_EQ(eq.size(), 2u);
+    // Appends after a tail cancel must link behind the new tail.
+    eq.scheduleAt(10, [&] { order.push_back(5); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 3, 5}));
+}
+
+TEST(EventQueueLists, CancellingEveryEventOfATickEmptiesItsBucket)
+{
+    EventQueue eq;
+    bool ran = false;
+    auto a = eq.scheduleAt(20, [&] { ran = true; });
+    auto b = eq.scheduleAt(20, [&] { ran = true; });
+    EXPECT_TRUE(eq.cancel(b));
+    EXPECT_TRUE(eq.cancel(a));
+    EXPECT_EQ(eq.nextEventTick(), tickNever);
+    eq.scheduleAt(30, [] {});
+    EXPECT_EQ(eq.nextEventTick(), 30u);
+    eq.run();
+    EXPECT_FALSE(ran);
+    EXPECT_EQ(eq.now(), 30u);
+}
+
+TEST(EventQueueLists, CancelOverflowParkedEvent)
+{
+    EventQueue eq;
+    bool ran = false;
+    auto parked = eq.scheduleAt(100000, [&] { ran = true; });
+    eq.scheduleAt(200000, [] {});
+    EXPECT_TRUE(eq.cancel(parked));
+    EXPECT_FALSE(eq.cancel(parked));
+    EXPECT_EQ(eq.size(), 1u);
+    EXPECT_EQ(eq.nextEventTick(), 200000u);
+    eq.run();
+    EXPECT_FALSE(ran);
+    EXPECT_EQ(eq.now(), 200000u);
+    EXPECT_EQ(eq.eventsExecuted(), 1u);
+}
+
+TEST(EventQueueLists, RunningEventCannotCancelItself)
+{
+    EventQueue eq;
+    EventQueue::EventId self = 0, child = 0;
+    bool cancelled = true;
+    self = eq.scheduleAt(5, [&] {
+        cancelled = eq.cancel(self);
+        // The running event keeps its slot until it returns, so a
+        // schedule from inside it lands in another slot.
+        child = eq.scheduleIn(1, [] {});
+    });
+    eq.run();
+    EXPECT_FALSE(cancelled);
+    EXPECT_NE(child & 0xFFFFFF, self & 0xFFFFFF);
+    EXPECT_EQ(eq.eventsExecuted(), 2u);
+}
+
+TEST(EventQueueLists, CallbackGrowingTheArenaRunsInPlace)
+{
+    // More than one 1024-slot slab of events scheduled from inside a
+    // running callback: the arena grows under it, and its non-trivial
+    // capture must still be intact afterwards.
+    EventQueue eq;
+    int children = 0;
+    std::vector<std::string> seen;
+    std::string tag = "still in place";
+    eq.scheduleAt(1, [&eq, &children, &seen, tag] {
+        for (int i = 0; i < 1500; ++i)
+            eq.scheduleIn(1 + i % 3, [&children] { ++children; });
+        seen.push_back(tag);
+    });
+    eq.run();
+    EXPECT_EQ(children, 1500);
+    EXPECT_EQ(seen, (std::vector<std::string>{"still in place"}));
+    EXPECT_GT(eq.poolSlots(), 1024u);
+}
+
+TEST(EventQueueLists, ThrowingCallbackReleasesItsSlot)
+{
+    EventQueue eq;
+    auto owned = std::make_shared<int>(7);
+    int ran = 0;
+    eq.scheduleAt(1, [owned] { throw std::runtime_error("boom"); });
+    eq.scheduleAt(2, [&] { ++ran; });
+    eq.scheduleAt(3, [&] { ++ran; });
+    EXPECT_EQ(eq.poolSlots(), 3u);
+    EXPECT_THROW(eq.run(), std::runtime_error);
+    EXPECT_EQ(eq.now(), 1u);
+    EXPECT_EQ(eq.size(), 2u);
+    EXPECT_EQ(owned.use_count(), 1); // the capture was destroyed
+    // The thrower's slot is free again: no growth for the next event.
+    eq.scheduleAt(4, [&] { ++ran; });
+    EXPECT_EQ(eq.poolSlots(), 3u);
+    eq.run();
+    EXPECT_EQ(ran, 3);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueueLists, TickBurstThenSteadyStateStaysWithinBurstSlots)
+{
+    EventQueue eq;
+    int woken = 0;
+    for (int i = 0; i < 512; ++i)
+        eq.scheduleAt(10, [&] { ++woken; });
+    EXPECT_EQ(eq.poolSlots(), 512u);
+    eq.run();
+    EXPECT_EQ(woken, 512);
+
+    int remaining = 10000;
+    std::function<void()> chain = [&] {
+        if (--remaining > 0) {
+            eq.scheduleIn(1, chain);
+            eq.scheduleIn(2, [] {});
+        }
+    };
+    eq.scheduleIn(1, chain);
+    eq.run();
+    EXPECT_EQ(remaining, 0);
+    EXPECT_EQ(eq.poolSlots(), 512u);
 }
 
 } // namespace
