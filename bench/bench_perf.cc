@@ -11,8 +11,8 @@
  * Every perf-affecting PR from this one onward reruns this bench in
  * Release mode and diffs the JSON against the previous trajectory point.
  *
- *   $ ./bench_perf [--out FILE] [--scale S] [--threads LIST]
- *                  [--filter REGEX] [--repeat N] [kernel...]
+ *   $ ./bench_perf [--out FILE] [--scale S] [--filter REGEX]
+ *                  [--repeat N] [kernel...]
  *
  * --scale multiplies every kernel's default iteration count (use < 1 for
  * a quick smoke run, > 1 for more stable numbers). Wall-clock timing
@@ -26,12 +26,8 @@
  * the minimum-wall sample — min, not mean, because scheduling noise
  * only ever adds time.
  *
- * The `parallel` section sweeps the node-partitioned engine on a
- * 64-node mesh (base system) at the shard counts given by --threads
- * (default 1,2,4), recorded as configs "mesh64-t<S>". Only the t1 cells
- * are gated by tools/perf_gate.py — S>1 throughput depends on the
- * runner's core count — but they pin the sequential baseline the
- * parallel path must not regress.
+ * A third section runs every kernel on a 64-node mesh (base system),
+ * recorded as config "mesh64-t1": the routed-network trajectory.
  */
 
 #include <chrono>
@@ -41,7 +37,6 @@
 #include <functional>
 #include <regex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
@@ -51,18 +46,10 @@ using namespace ltp;
 namespace
 {
 
-/** Detected core count; 0 when the runtime cannot tell. */
-unsigned
-hardwareThreads()
-{
-    return std::thread::hardware_concurrency();
-}
-
 struct Sample
 {
     std::string kernel;
     std::string config;
-    unsigned threads = 1; //!< simulation shards this cell ran with
     bool completed = false;
     double wallSeconds = 0.0;
     std::uint64_t cycles = 0;
@@ -74,18 +61,6 @@ struct Sample
     double rate(std::uint64_t n) const
     {
         return wallSeconds > 0.0 ? double(n) / wallSeconds : 0.0;
-    }
-
-    /**
-     * More worker threads than cores: the cell's wall clock measures
-     * scheduler thrash, not engine throughput. Stamped into the JSON so
-     * numbers recorded on a small box stop reading as regressions.
-     */
-    bool
-    oversubscribed() const
-    {
-        unsigned hw = hardwareThreads();
-        return hw != 0 && threads > hw;
     }
 };
 
@@ -117,15 +92,12 @@ runOne(const std::string &kernel, PredictorKind kind, PredictorMode mode,
     spec.predictor = kind;
     spec.mode = mode;
     spec.iterScale = scale;
-    // Pin the engine: these cells are the perf-gated sequential
-    // trajectory and must ignore a stray LTP_SIM_THREADS.
-    spec.simThreads = 1;
     return runSpec(std::move(spec), config_name);
 }
 
-/** One `parallel` section cell: base system, 64-node mesh, S shards. */
+/** One mesh64 cell: base system on a 64-node mesh. */
 Sample
-runParallel(const std::string &kernel, unsigned threads, double scale)
+runMesh64(const std::string &kernel, double scale)
 {
     ExperimentSpec spec;
     spec.kernel = kernel;
@@ -134,11 +106,7 @@ runParallel(const std::string &kernel, unsigned threads, double scale)
     spec.iterScale = scale;
     spec.nodes = 64;
     spec.topology = TopologyKind::Mesh2D;
-    spec.simThreads = threads;
-    Sample s = runSpec(std::move(spec),
-                       "mesh64-t" + std::to_string(threads));
-    s.threads = threads;
-    return s;
+    return runSpec(std::move(spec), "mesh64-t1");
 }
 
 void
@@ -160,32 +128,25 @@ writeJson(const std::string &path, const std::vector<Sample> &samples,
 #endif
     );
     std::fprintf(f, "  \"iterScale\": %g,\n", scale);
-    std::fprintf(f, "  \"hardwareConcurrency\": %u,\n", hardwareThreads());
     std::fprintf(f, "  \"runs\": [\n");
     for (std::size_t i = 0; i < samples.size(); ++i) {
         const Sample &s = samples[i];
         std::fprintf(f,
                      "    {\"kernel\": \"%s\", \"config\": \"%s\", "
-                     "\"threads\": %u, \"completed\": %s, "
+                     "\"completed\": %s, "
                      "\"wallSeconds\": %.4f, "
                      "\"cycles\": %llu, \"events\": %llu, \"msgs\": %llu, "
-                     "\"eventsPerSec\": %.0f, \"msgsPerSec\": %.0f%s, "
+                     "\"eventsPerSec\": %.0f, \"msgsPerSec\": %.0f, "
                      "\"engineRounds\": %llu, \"windowTicks\": %llu, "
-                     "\"barrierParks\": %llu, \"barrierWaitNs\": %llu, "
-                     "\"spilledPosts\": %llu, "
                      "\"overflowMigrations\": %llu}%s\n",
-                     s.kernel.c_str(), s.config.c_str(), s.threads,
+                     s.kernel.c_str(), s.config.c_str(),
                      s.completed ? "true" : "false", s.wallSeconds,
                      (unsigned long long)s.cycles,
                      (unsigned long long)s.events,
                      (unsigned long long)s.msgs, s.rate(s.events),
                      s.rate(s.msgs),
-                     s.oversubscribed() ? ", \"oversubscribed\": true" : "",
                      (unsigned long long)s.profile.rounds,
                      (unsigned long long)s.profile.windowTicks,
-                     (unsigned long long)s.profile.barrierParks,
-                     (unsigned long long)s.profile.barrierWaitNs,
-                     (unsigned long long)s.profile.spilledPosts,
                      (unsigned long long)s.profile.overflowMigrations,
                      i + 1 < samples.size() ? "," : "");
     }
@@ -215,7 +176,6 @@ run(int argc, char **argv)
     double scale = 1.0;
     int repeat = 1;
     std::string filter;
-    std::vector<unsigned> threads = {1, 2, 4};
     std::vector<std::string> kernels;
 
     for (int i = 1; i < argc; ++i) {
@@ -230,19 +190,6 @@ run(int argc, char **argv)
             if (repeat < 1) {
                 std::fprintf(stderr, "bad --repeat count '%s'\n", argv[i]);
                 return 1;
-            }
-        } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-            threads.clear();
-            for (const char *p = argv[++i]; *p;) {
-                char *end = nullptr;
-                unsigned long v = std::strtoul(p, &end, 10);
-                if (end == p || v == 0) {
-                    std::fprintf(stderr, "bad --threads list '%s'\n",
-                                 argv[i]);
-                    return 1;
-                }
-                threads.push_back(unsigned(v));
-                p = *end == ',' ? end + 1 : end;
             }
         } else {
             kernels.push_back(argv[i]);
@@ -310,23 +257,18 @@ run(int argc, char **argv)
         }
     }
 
-    // The parallel section: the node-partitioned engine on a 64-node
-    // mesh, one cell per (kernel, shard count).
+    // The routed section: every kernel on a 64-node mesh.
     for (const auto &kernel : kernels) {
-        for (unsigned t : threads) {
-            if (!selected(kernel, "mesh64-t" + std::to_string(t)))
-                continue;
-            Sample s = bestOf(
-                repeat, [&] { return runParallel(kernel, t, scale); });
-            std::printf("%-12s %-10s | %8.3f %12llu %12llu | %12.0f "
-                        "%12.0f%s%s\n",
-                        s.kernel.c_str(), s.config.c_str(), s.wallSeconds,
-                        (unsigned long long)s.events,
-                        (unsigned long long)s.msgs, s.rate(s.events),
-                        s.rate(s.msgs), s.completed ? "" : "  (incomplete)",
-                        s.oversubscribed() ? "  (oversubscribed)" : "");
-            samples.push_back(std::move(s));
-        }
+        if (!selected(kernel, "mesh64-t1"))
+            continue;
+        Sample s = bestOf(repeat, [&] { return runMesh64(kernel, scale); });
+        std::printf("%-12s %-10s | %8.3f %12llu %12llu | %12.0f "
+                    "%12.0f%s\n",
+                    s.kernel.c_str(), s.config.c_str(), s.wallSeconds,
+                    (unsigned long long)s.events,
+                    (unsigned long long)s.msgs, s.rate(s.events),
+                    s.rate(s.msgs), s.completed ? "" : "  (incomplete)");
+        samples.push_back(std::move(s));
     }
 
     writeJson(out, samples, scale);

@@ -3,22 +3,19 @@
  * Predictor design-space explorer: sweep predictor organizations and
  * signature widths over one benchmark from the command line.
  *
- *   $ ./example_predictor_explorer [kernel] [topology] [routing] [threads]
+ *   $ ./example_predictor_explorer [kernel] [topology] [routing]
  *
  * Defaults: tomcatv on the paper's point-to-point network. Topology is
  * one of p2p | mesh | torus | ring and routing one of
  * dor | adaptive | oblivious (see src/net/README.md), so the accuracy
  * study can be reproduced under hop- and congestion-dependent network
- * latency and any routing policy. `threads` selects the parallel
- * engine's shard count (results are bit-identical for every value;
- * these Passive-mode sweeps shard cleanly).
+ * latency and any routing policy.
  *
  * Prints an accuracy/storage matrix — the kind of study Sections 5.2
  * and 5.3 of the paper run — for the chosen workload.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -67,21 +64,11 @@ main(int argc, char **argv)
         routing = *parsed;
     }
 
-    unsigned sim_threads = 1;
-    if (argc > 4) {
-        sim_threads = unsigned(std::atoi(argv[4]));
-        if (sim_threads == 0) {
-            std::fprintf(stderr, "threads must be >= 1\n");
-            return 1;
-        }
-    }
-
     std::printf("predictor design space on '%s' (%s), topology=%s, "
-                "routing=%s, threads=%u\n",
+                "routing=%s\n",
                 kernel.c_str(),
                 describeConfig(kernel, defaultConfig(kernel)).c_str(),
-                topologyKindName(topology), routingPolicyName(routing),
-                sim_threads);
+                topologyKindName(topology), routingPolicyName(routing));
     std::printf("%-12s %6s %10s %10s %10s %10s\n", "organization",
                 "bits", "pred%", "mispred%", "ent/blk", "bytes/blk");
 
@@ -110,7 +97,6 @@ main(int argc, char **argv)
         spec.sigBits = row.bits ? row.bits : 30;
         spec.topology = topology;
         spec.routing = routing;
-        spec.simThreads = sim_threads;
         RunResult r = runExperiment(spec);
         std::printf("%-12s %6u %10.1f %10.1f", row.label, row.bits,
                     100 * r.accuracy(), 100 * r.mispredictionRate());

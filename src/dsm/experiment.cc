@@ -1,32 +1,11 @@
 #include "dsm/experiment.hh"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <stdexcept>
 #include <string>
 
 namespace ltp
 {
-
-unsigned
-parseSimThreads(const char *text)
-{
-    unsigned long value = 0;
-    const char *p = text;
-    bool any = false;
-    for (; *p >= '0' && *p <= '9'; ++p) {
-        any = true;
-        value = value * 10 + unsigned(*p - '0');
-        if (value > maxSimThreads)
-            break; // cap the accumulator; the range check below fires
-    }
-    if (!any || *p != '\0' || value == 0 || value > maxSimThreads) {
-        throw std::invalid_argument(
-            std::string("LTP_SIM_THREADS must be an integer in [1, ") +
-            std::to_string(maxSimThreads) + "], got \"" + text + "\"");
-    }
-    return unsigned(value);
-}
 
 RunResult
 runExperiment(const ExperimentSpec &spec)
@@ -35,11 +14,6 @@ runExperiment(const ExperimentSpec &spec)
                                                   spec.mode, spec.sigBits);
     if (spec.nodes)
         sp.numNodes = *spec.nodes;
-    if (spec.simThreads) {
-        sp.simThreads = *spec.simThreads;
-    } else if (const char *env = std::getenv("LTP_SIM_THREADS")) {
-        sp.simThreads = parseSimThreads(env);
-    }
     if (spec.net) {
         sp.net = *spec.net;
     } else {

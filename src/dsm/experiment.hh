@@ -4,6 +4,12 @@
  * run one benchmark kernel under a given predictor configuration, and
  * return the aggregate results. The bench/ binaries that regenerate the
  * paper's tables and figures are thin loops over these helpers.
+ *
+ * Each call runs one simulation on the calling thread. Runs are
+ * independent, so parallelism comes from running processes side by
+ * side (tools/regen_goldens.sh runs the six golden benches that way),
+ * not threads: the tracer, fault injector, invariant checkers and
+ * flight recorder are process-wide singletons armed per run.
  */
 
 #ifndef LTP_DSM_EXPERIMENT_HH
@@ -39,14 +45,6 @@ struct ExperimentSpec
     /** Full network-knob override (wins over `topology`/`routing`). */
     std::optional<NetworkParams> net;
     /**
-     * Simulation worker threads (SystemParams::simThreads). Results are
-     * bit-identical for every value. When unset, the LTP_SIM_THREADS
-     * environment variable applies (CI runs a tier-1 shard with
-     * LTP_SIM_THREADS=2 to exercise the parallel engine); setting any
-     * value — including 1 — pins the run and ignores the environment.
-     */
-    std::optional<unsigned> simThreads;
-    /**
      * Observability (tracing + metrics sampling, src/obs/). When unset,
      * the LTP_TRACE / LTP_TRACE_CATS / LTP_METRICS /
      * LTP_METRICS_INTERVAL environment variables apply
@@ -58,8 +56,8 @@ struct ExperimentSpec
     /**
      * Harness guards (watchdog, invariant checkers, fault injection,
      * flight recorder — src/sim/guard/). When unset, the LTP_CHECK /
-     * LTP_FAULT / LTP_WATCHDOG_MS / LTP_BARRIER_STALL_MS /
-     * LTP_MAX_WALL_MS / LTP_MAX_EVENTS / LTP_MAX_RSS_MB /
+     * LTP_FAULT / LTP_WATCHDOG_MS / LTP_MAX_WALL_MS / LTP_MAX_EVENTS /
+     * LTP_MAX_RSS_MB /
      * LTP_FLIGHT_RECORDER environment variables apply
      * (guard::guardParamsFromEnv); setting a value — including a
      * default GuardParams, i.e. everything off — pins it and ignores
@@ -70,15 +68,6 @@ struct ExperimentSpec
 
 /** Run one experiment on a fresh system. */
 RunResult runExperiment(const ExperimentSpec &spec);
-
-/**
- * Parse an LTP_SIM_THREADS-style thread count. Accepts exactly a
- * decimal integer in [1, 256]; anything else (non-numeric text, zero,
- * trailing junk, absurd values) throws std::invalid_argument with a
- * message naming the offending value — a misspelled environment
- * variable must fail loudly, not silently fall back to one thread.
- */
-unsigned parseSimThreads(const char *text);
 
 /**
  * Run the base system and one active predictor on the same kernel and

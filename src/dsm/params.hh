@@ -32,14 +32,6 @@ enum class PredictorKind
 
 const char *predictorKindName(PredictorKind k);
 
-/**
- * Upper bound on SystemParams::simThreads. Far above any sane host
- * (shards can never exceed the node count anyway); its purpose is to
- * reject typo'd values — LTP_SIM_THREADS=2000000 — loudly at
- * construction instead of silently spawning a thread army.
- */
-constexpr unsigned maxSimThreads = 256;
-
 /** Full system configuration. Defaults reproduce Table 1. */
 struct SystemParams
 {
@@ -55,16 +47,15 @@ struct SystemParams
      *  backpressure (see src/net/README.md). */
     NetworkParams net;
 
+    /** Barrier release delay; also bounds the engine's window width,
+     *  so it must be >= 1. */
     Tick barrierLatency = 200;
 
     /**
-     * Simulation worker threads (not simulated processors!). Each
-     * thread owns a contiguous shard of the nodes and runs it under the
-     * parallel engine's conservative windows (src/sim/par/). Results
-     * are bit-identical for every value, 1 included (one shard on the
-     * calling thread). Active predictors run on one shard whatever
-     * this asks for: their directory verification feedback is a
-     * zero-lookahead cross-node call (ShardPlan::singleShardReason).
+     * Simulation threads per run (not simulated processors!). Every run
+     * executes on one thread, so 1 is the only accepted value and
+     * DsmSystem throws std::invalid_argument for any other. For
+     * parallelism, run independent simulations side by side.
      */
     unsigned simThreads = 1;
 
@@ -88,7 +79,7 @@ struct SystemParams
      * (src/sim/guard/). Watchdog/checkers/recorder are observer-only —
      * results and statistics are byte-identical whatever is armed here
      * (fault injection deliberately perturbs virtual time, but stays
-     * deterministic and shard-count invariant); defaults are all-off.
+     * deterministic); defaults are all-off.
      */
     guard::GuardParams guard;
 

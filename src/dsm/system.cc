@@ -1,5 +1,6 @@
 #include "dsm/system.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <stdexcept>
@@ -22,39 +23,35 @@ namespace ltp
 namespace
 {
 
-/** Decide the engine's shard count and window for @p params. */
-ShardPlan
-planFor(const SystemParams &params)
+/**
+ * The engine's window width for @p params: the network's lookahead,
+ * clamped by the barrier latency (barrier wakeups are posted that far
+ * ahead). A configuration with no lookahead is rejected.
+ */
+Tick
+engineWindow(const SystemParams &params)
 {
-    if (params.simThreads == 0 || params.simThreads > maxSimThreads) {
+    if (params.simThreads != 1) {
         throw std::invalid_argument(
-            "SystemParams::simThreads must be in [1, " +
-            std::to_string(maxSimThreads) + "], got " +
+            "SystemParams::simThreads must be 1 (every run executes on "
+            "one thread; run simulations side by side instead), got " +
             std::to_string(params.simThreads));
     }
     // Reject invalid network knobs with the descriptive error before
     // deriving a lookahead from them (makeInterconnect would only get
     // to say so later).
     validateNetworkParams(params.net, params.numNodes);
-    LookaheadInputs in;
-    in.requestedThreads = params.simThreads;
-    in.numNodes = params.numNodes;
-    in.netLookahead = networkLookahead(params.net);
-    in.barrierLatency = params.barrierLatency;
-    ShardPlan plan = resolveShardPlan(in);
-    if (params.mode == PredictorMode::Active &&
-        params.predictor != PredictorKind::Base) {
-        // The home directory trains the self-invalidating node's
-        // predictor by a direct call when it verifies a SelfInv
-        // (DirController::setVerifyHook) — a zero-lookahead cross-node
-        // wire no window can span across shards, but a plain call
-        // within one.
-        plan.shards = 1;
-        plan.singleShardReason =
-            "active predictor verification feedback is a zero-lookahead "
-            "cross-node call";
+    Tick net = networkLookahead(params.net);
+    if (net == 0) {
+        throw std::invalid_argument(
+            "interconnect timing leaves no cross-node lookahead");
     }
-    return plan;
+    if (params.barrierLatency == 0) {
+        throw std::invalid_argument(
+            "barrierLatency must be >= 1 tick (it bounds the engine's "
+            "window)");
+    }
+    return std::min(net, params.barrierLatency);
 }
 
 } // namespace
@@ -100,21 +97,16 @@ SystemParams::withTopology(TopologyKind kind, NodeId nodes)
 
 DsmSystem::DsmSystem(SystemParams params)
     : params_(params),
-      plan_(planFor(params)),
-      sim_(std::make_unique<ParallelScheduler>(plan_.shards, params.numNodes,
-                                               plan_.window)),
+      sim_(std::make_unique<WindowedScheduler>(engineWindow(params))),
       homes_(params.pageSize, params.numNodes),
       as_(std::make_unique<AddressSpace>(homes_, params.cache.blockSize)),
       net_(makeInterconnect(*sim_, params.numNodes, params.net)),
       sync_(std::make_unique<SyncDomain>(*sim_, params.numNodes,
                                          params.barrierLatency))
 {
-    mem_.setConcurrent(plan_.parallel());
+    EventQueue &eq = sim_->queue();
+    StatGroup &stats = sim_->stats();
     for (NodeId n = 0; n < params_.numNodes; ++n) {
-        // Every component of node n runs on n's shard: its queue and
-        // its shard's stat group (merged after the run).
-        EventQueue &eq = sim_->queueFor(n);
-        StatGroup &stats = sim_->shardStats(sim_->shardOf(n));
         auto node = std::make_unique<DsmNode>();
         node->predictor = makePredictor();
         node->cacheCtrl = std::make_unique<CacheController>(
@@ -192,11 +184,9 @@ DsmSystem::run(KernelBase &kernel, const KernelConfig &cfg)
     for (NodeId n = 0; n < params_.numNodes; ++n) {
         DsmNode &node = *nodes_[n];
         node.thread = std::make_unique<ThreadCtx>(
-            n, sim_->queueFor(n), *node.cacheCtrl, mem_, *sync_,
+            n, sim_->queue(), *node.cacheCtrl, mem_, *sync_,
             actual.seed);
-        node.onDone = [this] {
-            finished_.fetch_add(1, std::memory_order_relaxed);
-        };
+        node.onDone = [this] { ++finished_; };
         node.task = kernel.run(*node.thread);
         node.task.start(&node.onDone);
     }
@@ -222,14 +212,7 @@ DsmSystem::run(KernelBase &kernel, const KernelConfig &cfg)
         }
     } disarm;
     if (gp.faultsEnabled()) {
-        guard::FaultPlan plan = guard::parseFaultSpec(gp.faultSpec);
-        if (plan.on(guard::FaultKind::BarrierWedge) &&
-            sim_->directDispatch()) {
-            throw std::invalid_argument(
-                "LTP_FAULT=barrier-wedge needs the staged parallel engine "
-                "(simThreads >= 2); this run has no window barrier");
-        }
-        guard::Faults::instance().arm(plan);
+        guard::Faults::instance().arm(guard::parseFaultSpec(gp.faultSpec));
         disarm.faults = true;
     }
     if (gp.checksEnabled()) {
@@ -245,15 +228,6 @@ DsmSystem::run(KernelBase &kernel, const KernelConfig &cfg)
         guard::RecorderContext rc;
         rc.tick = [this] { return sim_->tickApprox(); };
         rc.events = [this] { return sim_->executedApprox(); };
-        rc.shards = plan_.shards;
-        if (!sim_->directDispatch()) {
-            rc.barrierGeneration = [this] {
-                return sim_->barrier().generationValue();
-            };
-            rc.barrierArrived = [this] {
-                return sim_->barrier().arrivedCount();
-            };
-        }
         rc.profile = [this] { return sim_->profile(); };
         guard::FlightRecorder::instance().arm(gp.flightRecorderFile,
                                               std::move(rc));
@@ -261,36 +235,27 @@ DsmSystem::run(KernelBase &kernel, const KernelConfig &cfg)
     }
 
     // Observability bring-up, all observer-only: the tracer buffers
-    // compact records per shard (flushed to Chrome JSON after the run)
-    // and the sampler reads statistics at quiescent points. Neither
+    // compact records (flushed to Chrome JSON after the run) and the
+    // sampler reads statistics at quiescent points. Neither
     // schedules events or touches simulated state, so results are
     // byte-identical with or without them.
     if (params_.obs.traceEnabled()) {
         obs::TraceConfig tc;
         tc.path = params_.obs.traceFile;
         tc.categories = params_.obs.tracerCategories;
-        tc.eventCapPerShard = params_.obs.traceEventCapPerShard;
-        std::vector<unsigned> node_shard(params_.numNodes);
-        for (NodeId n = 0; n < params_.numNodes; ++n)
-            node_shard[n] = sim_->shardOf(n);
-        obs::Tracer::instance().start(tc, node_shard);
+        tc.eventCap = params_.obs.traceEventCap;
+        obs::Tracer::instance().start(tc, params_.numNodes);
     }
     if (params_.obs.metricsEnabled()) {
         sampler_ = std::make_unique<obs::MetricsSampler>(
             params_.obs.metricsFile, params_.obs.metricsIntervalTicks);
-        if (!sim_->directDispatch()) {
-            // Staged engine: sample in the window-planning barrier.
-            sim_->setMetricsSampler(sampler_.get());
-        } else {
-            // One queue (direct dispatch): the tick watcher fires
-            // between events, rearmed from the sampler's own due-tick
-            // grid.
-            sim_->queueFor(0).armTickWatcher(
-                sampler_->nextDue(), [this](Tick now) {
-                    return sampler_->maybeSample(now, sim_->stats(),
-                                                 sim_->eventsExecuted());
-                });
-        }
+        // The tick watcher fires between events, rearmed from the
+        // sampler's own due-tick grid.
+        sim_->queue().armTickWatcher(
+            sampler_->nextDue(), [this](Tick now) {
+                return sampler_->maybeSample(now, sim_->stats(),
+                                             sim_->eventsExecuted());
+            });
     }
 
     {
@@ -300,14 +265,6 @@ DsmSystem::run(KernelBase &kernel, const KernelConfig &cfg)
         guard::WatchdogHooks hooks;
         hooks.tick = [this] { return sim_->tickApprox(); };
         hooks.events = [this] { return sim_->executedApprox(); };
-        if (!sim_->directDispatch()) {
-            hooks.barrierGeneration = [this] {
-                return sim_->barrier().generationValue();
-            };
-            hooks.barrierArrived = [this] {
-                return sim_->barrier().arrivedCount();
-            };
-        }
         hooks.abort = [this](const std::string &reason) {
             sim_->requestAbort(reason);
         };
@@ -325,8 +282,7 @@ DsmSystem::run(KernelBase &kernel, const KernelConfig &cfg)
         }
     }
 
-    unsigned finished = finished_.load(std::memory_order_relaxed);
-    bool completed = finished == params_.numNodes;
+    bool completed = finished_ == params_.numNodes;
     std::string abortReason;
     if (!completed) {
         abortReason = sim_->abortReason();
@@ -339,17 +295,17 @@ DsmSystem::run(KernelBase &kernel, const KernelConfig &cfg)
                               "-cycle budget";
             } else {
                 abortReason =
-                    "idle deadlock: all event queues drained at tick " +
+                    "idle deadlock: the event queue drained at tick " +
                     std::to_string(sim_->now()) + " with " +
-                    std::to_string(params_.numNodes - finished) + " of " +
+                    std::to_string(params_.numNodes - finished_) + " of " +
                     std::to_string(params_.numNodes) +
                     " threads unfinished";
             }
         }
-        // The clean-path flight record: the engine joined its workers
-        // when runUntil() returned, so this dump is complete and
-        // race-free. It must land before Tracer::stop() below drains
-        // the trace buffers the dump's traceTail reads.
+        // The clean-path flight record: the engine has returned, so
+        // this dump is complete and race-free. It must land before
+        // Tracer::stop() below drains the trace buffers the dump's
+        // traceTail reads.
         guard::FlightRecorder::instance().dumpNow("aborted: " +
                                                   abortReason);
     }
@@ -357,10 +313,7 @@ DsmSystem::run(KernelBase &kernel, const KernelConfig &cfg)
     if (sampler_) {
         sampler_->finish(sim_->now(), sim_->stats(),
                          sim_->eventsExecuted());
-        if (!sim_->directDispatch())
-            sim_->setMetricsSampler(nullptr);
-        else
-            sim_->queueFor(0).disarmTickWatcher();
+        sim_->queue().disarmTickWatcher();
     }
     if (params_.obs.traceEnabled())
         obs::Tracer::instance().stop();
@@ -490,7 +443,6 @@ DsmSystem::collect(bool completed) const
     r.completed = completed;
     r.cycles = sim_->now();
     r.eventsExecuted = sim_->eventsExecuted();
-    r.simShards = plan_.shards;
     r.invalidations = stats.counterValue("pred.invalidations");
     r.predicted = stats.counterValue("pred.predicted");
     r.notPredicted = stats.counterValue("pred.notPredicted");

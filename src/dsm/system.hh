@@ -16,7 +16,6 @@
 #ifndef LTP_DSM_SYSTEM_HH
 #define LTP_DSM_SYSTEM_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -35,8 +34,7 @@
 #include "proto/cache_controller.hh"
 #include "proto/dir_controller.hh"
 #include "sim/event_queue.hh"
-#include "sim/par/lookahead.hh"
-#include "sim/par/parallel_scheduler.hh"
+#include "sim/windowed_scheduler.hh"
 #include "sim/stats.hh"
 
 namespace ltp
@@ -62,7 +60,7 @@ struct RunResult
     RunOutcome outcome = RunOutcome::Completed;
     /**
      * Why the run aborted: the watchdog detector's structured reason
-     * ("no-progress: ...", "barrier stall: ...", "...budget exceeded"),
+     * ("no-progress: ...", "...budget exceeded"),
      * or the harness's own ("maxTicks exceeded...", "idle deadlock...").
      * Empty when outcome == Completed.
      */
@@ -71,8 +69,6 @@ struct RunResult
     std::uint64_t memOps = 0;
     /** Discrete events executed by the simulation core (perf tracking). */
     std::uint64_t eventsExecuted = 0;
-    /** Partitions the engine actually ran (see ShardPlan). */
-    unsigned simShards = 1;
 
     // Prediction-accuracy accounting (Figures 6-8). The denominator is
     // the number of (real or correctly-replaced) invalidations.
@@ -101,9 +97,8 @@ struct RunResult
     std::uint64_t netLatencyOverflow = 0;
 
     /**
-     * Host-side engine self-profile (windows, barrier waits, spills).
-     * Machine-dependent wall-clock territory — reported beside the
-     * deterministic results, never inside the stats dump.
+     * Engine self-profile (windowed rounds, overflow migrations) —
+     * reported beside the model's results, never inside the stats dump.
      */
     obs::EngineProfile engineProfile;
     double netHopMean = 0.0;       //!< 0 for the point-to-point model
@@ -163,18 +158,12 @@ class DsmSystem
     RunResult run(KernelBase &kernel, const KernelConfig &cfg);
 
     const SystemParams &params() const { return params_; }
-    /**
-     * Whole-run statistics, a merged snapshot rebuilt on every call.
-     * References stay valid across calls, but treat it as read-only —
-     * writes are discarded by the next rebuild. To register custom stats, use
-     * simContext().shardStats() before the run instead.
-     */
+    /** Whole-run statistics. */
     StatGroup &stats() { return sim_->stats(); }
-    /** Node 0's event queue — the only queue on a one-shard run. */
-    EventQueue &eventQueue() { return sim_->queueFor(0); }
-    /** The engine (sharding, window width) this system runs on. */
-    const ShardPlan &shardPlan() const { return plan_; }
-    SimContext &simContext() { return *sim_; }
+    /** The run's event queue. */
+    EventQueue &eventQueue() { return sim_->queue(); }
+    /** The engine this system runs on (window width, profile). */
+    WindowedScheduler &simContext() { return *sim_; }
     Interconnect &network() { return *net_; }
     DsmNode &node(NodeId n) { return *nodes_[n]; }
     MemoryValues &memory() { return mem_; }
@@ -187,15 +176,14 @@ class DsmSystem
     void guardQuiesceChecks() const;
 
     SystemParams params_;
-    ShardPlan plan_;
-    std::unique_ptr<ParallelScheduler> sim_;
+    std::unique_ptr<WindowedScheduler> sim_;
     HomeMap homes_;
     MemoryValues mem_;
     std::unique_ptr<AddressSpace> as_;
     std::unique_ptr<Interconnect> net_;
     std::unique_ptr<SyncDomain> sync_;
     std::vector<std::unique_ptr<DsmNode>> nodes_;
-    std::atomic<unsigned> finished_{0};
+    unsigned finished_ = 0;
     std::unique_ptr<obs::MetricsSampler> sampler_;
 };
 

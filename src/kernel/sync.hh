@@ -14,25 +14,21 @@
  * traffic. Barrier arrival also reports a synchronization boundary. See
  * DESIGN.md for why this substitution is safe.
  *
- * Arrivals meet in atomics, whatever the shard count (one included):
- * a count plus a monotonic max of the arrival ticks — both commutative,
- * so the release tick is independent of wall-clock arrival order — and
- * the completing arrival posts one per-node wakeup through the engine
- * at lastArrival + barrierLatency on the node's barrier channel. That
- * delay is what bounds the engine's lookahead window alongside the
- * network (see sim/par/lookahead.hh).
+ * Arrivals are counted, and the completing (latest) arrival posts one
+ * per-node wakeup through the engine at its tick + barrierLatency on
+ * the node's barrier channel. That delay bounds the engine's window width
+ * alongside the network's lookahead (see DsmSystem).
  */
 
 #ifndef LTP_KERNEL_SYNC_HH
 #define LTP_KERNEL_SYNC_HH
 
-#include <atomic>
 #include <coroutine>
 #include <vector>
 
 #include "kernel/task.hh"
 #include "kernel/thread_ctx.hh"
-#include "sim/par/sim_context.hh"
+#include "sim/sim_context.hh"
 #include "sim/types.hh"
 
 namespace ltp
@@ -50,11 +46,7 @@ class SyncDomain
     }
 
     unsigned numThreads() const { return numThreads_; }
-    std::uint64_t
-    barriersCompleted() const
-    {
-        return completed_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t barriersCompleted() const { return completed_; }
 
     /** Awaitable barrier arrival of simulated thread @p node. */
     struct [[nodiscard]] BarrierAwaiter
@@ -77,35 +69,20 @@ class SyncDomain
     void
     arrive(NodeId node, std::coroutine_handle<> h)
     {
-        // Publish this arrival (slot write, then max of the arrival
-        // tick, then the count — the completer's acquire on the count
-        // makes both visible), and let whoever arrives last schedule
-        // the release.
         slots_[node] = h;
-        Tick t = ctx_->queueFor(node).now();
-        Tick seen = lastArrival_.load(std::memory_order_relaxed);
-        while (t > seen &&
-               !lastArrival_.compare_exchange_weak(
-                   seen, t, std::memory_order_release,
-                   std::memory_order_relaxed)) {
-        }
-        if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 <
-            numThreads_)
+        if (++arrived_ < numThreads_)
             return;
 
-        // Completing arrival: every simulated thread is parked in the
-        // barrier, so resetting for the next generation cannot race
-        // with a new arrival.
-        Tick release = lastArrival_.load(std::memory_order_acquire) +
-                       barrierLatency_;
-        arrived_.store(0, std::memory_order_relaxed);
-        lastArrival_.store(0, std::memory_order_relaxed);
-        completed_.fetch_add(1, std::memory_order_relaxed);
+        // Completing arrival (the latest one, events run in tick
+        // order): every simulated thread is parked in the barrier;
+        // reset for the next generation and wake everyone.
+        Tick release = ctx_->now() + barrierLatency_;
+        arrived_ = 0;
+        ++completed_;
         for (NodeId n = 0; n < NodeId(slots_.size()); ++n) {
             std::coroutine_handle<> hn = slots_[n];
             slots_[n] = nullptr;
-            ctx_->post(n, release, chan::barrier(n),
-                       [hn] { hn.resume(); });
+            ctx_->post(release, chan::barrier(n), [hn] { hn.resume(); });
         }
     }
 
@@ -113,9 +90,8 @@ class SyncDomain
     unsigned numThreads_;
     Tick barrierLatency_;
     std::vector<std::coroutine_handle<>> slots_; //!< per-node arrivals
-    std::atomic<unsigned> arrived_{0};
-    std::atomic<Tick> lastArrival_{0};
-    std::atomic<std::uint64_t> completed_{0};
+    unsigned arrived_ = 0;
+    std::uint64_t completed_ = 0;
 };
 
 /** PCs of the instructions inside a lock acquire/release sequence. */

@@ -7,23 +7,11 @@
  * needs real values. MemoryValues is a sparse 64-bit-word store shared by
  * all nodes; the coherence protocol guarantees that reads and writes are
  * serialized correctly, so a single value store suffices.
- *
- * Parallel runs: the protocol already serializes conflicting accesses to
- * any one word by at least the interconnect latency (ownership has to
- * move between nodes), which is >= the engine's conservative window — so
- * per-word accesses never race across shards. What does need protection
- * is the *container*: an insert into a hash map can rehash under a
- * concurrent reader of a different word. The store is therefore striped
- * by word address, and each stripe takes a tiny spin lock around its map
- * operations — but only when setConcurrent(true) was called, so the
- * sequential engine pays nothing.
  */
 
 #ifndef LTP_MEM_MEMORY_VALUES_HH
 #define LTP_MEM_MEMORY_VALUES_HH
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 
 #include "sim/flat_map.hh"
@@ -36,27 +24,16 @@ namespace ltp
 class MemoryValues
 {
   public:
-    /** Stripe the locks on (parallel engine); off by default. */
-    void setConcurrent(bool on) { concurrent_ = on; }
-
     /** Read the 64-bit word at @p a (8-byte aligned); absent words are 0. */
     std::uint64_t
     load(Addr a) const
     {
-        const Stripe &s = stripe(a);
-        Guard g(s.lock, concurrent_);
-        const std::uint64_t *v = s.words.find(wordAddr(a));
+        const std::uint64_t *v = words_.find(wordAddr(a));
         return v ? *v : 0;
     }
 
     /** Write the 64-bit word at @p a. */
-    void
-    store(Addr a, std::uint64_t v)
-    {
-        Stripe &s = stripe(a);
-        Guard g(s.lock, concurrent_);
-        s.words[wordAddr(a)] = v;
-    }
+    void store(Addr a, std::uint64_t v) { words_[wordAddr(a)] = v; }
 
     /**
      * Atomic test-and-set: write @p set_to and return the previous value.
@@ -66,13 +43,9 @@ class MemoryValues
     std::uint64_t
     testAndSet(Addr a, std::uint64_t set_to)
     {
-        Stripe &s = stripe(a);
-        Guard g(s.lock, concurrent_);
-        Addr w = wordAddr(a);
-        std::uint64_t old = 0;
-        if (const std::uint64_t *v = s.words.find(w))
-            old = *v;
-        s.words[w] = set_to;
+        std::uint64_t &w = words_[wordAddr(a)];
+        std::uint64_t old = w;
+        w = set_to;
         return old;
     }
 
@@ -80,67 +53,18 @@ class MemoryValues
     std::uint64_t
     fetchAdd(Addr a, std::uint64_t delta)
     {
-        Stripe &s = stripe(a);
-        Guard g(s.lock, concurrent_);
-        Addr w = wordAddr(a);
-        std::uint64_t old = s.words[w];
-        s.words[w] = old + delta;
+        std::uint64_t &w = words_[wordAddr(a)];
+        std::uint64_t old = w;
+        w = old + delta;
         return old;
     }
 
-    std::size_t
-    wordCount() const
-    {
-        std::size_t n = 0;
-        for (const Stripe &s : stripes_)
-            n += s.words.size();
-        return n;
-    }
+    std::size_t wordCount() const { return words_.size(); }
 
   private:
-    static constexpr std::size_t numStripes = 64;
-
-    struct Stripe
-    {
-        FlatMap<Addr, std::uint64_t> words;
-        mutable std::atomic_flag lock = ATOMIC_FLAG_INIT;
-    };
-
-    /** Scoped stripe lock; a no-op for the sequential engine. */
-    class Guard
-    {
-      public:
-        Guard(std::atomic_flag &lock, bool locked)
-            : lock_(lock), locked_(locked)
-        {
-            if (locked_)
-                while (lock_.test_and_set(std::memory_order_acquire)) {
-                }
-        }
-        ~Guard()
-        {
-            if (locked_)
-                lock_.clear(std::memory_order_release);
-        }
-        Guard(const Guard &) = delete;
-        Guard &operator=(const Guard &) = delete;
-
-      private:
-        std::atomic_flag &lock_;
-        bool locked_;
-    };
-
     static Addr wordAddr(Addr a) { return a & ~Addr(7); }
 
-    Stripe &stripe(Addr a) { return stripes_[(a >> 3) % numStripes]; }
-    const Stripe &
-    stripe(Addr a) const
-    {
-        return stripes_[(a >> 3) % numStripes];
-    }
-
-    std::array<Stripe, numStripes> stripes_;
-    bool concurrent_ = false;
+    FlatMap<Addr, std::uint64_t> words_;
 };
 
 } // namespace ltp

@@ -4,31 +4,25 @@ namespace ltp
 {
 
 std::uint32_t
-MessagePool::Shard::grow()
+MessagePool::grow()
 {
     // Out of recycled slots: materialize the next one, adding a slab
     // when the current one fills. Slabs are never released or moved —
     // the pool's footprint is the peak in-flight population, and every
     // handed-out Message reference stays valid.
-    if ((numSlots >> slabShift) == slabs.size())
-        slabs.push_back(
+    if ((numSlots_ >> slabShift) == slabs_.size())
+        slabs_.push_back(
             std::make_unique<std::array<Slot, 1u << slabShift>>());
-    return numSlots++;
+    return numSlots_++;
 }
 
 std::uint64_t
 MessagePool::liveMessages() const
 {
-    // Cold-path accounting (quiesce checks and tests): allocations are
-    // owner-counted, frees split into the owner's plain counter and the
-    // remote shards' atomic one. Only exact once the simulation has
-    // quiesced — mid-run it is a momentary snapshot.
-    std::uint64_t live = 0;
-    for (const Shard &sh : shards_) {
-        live += sh.allocs - sh.localFrees -
-                sh.remoteFrees.load(std::memory_order_relaxed);
-    }
-    return live;
+    std::uint64_t free = 0;
+    for (std::uint32_t i = freeHead_; i != nilIndex; i = slot(i).nextFree)
+        ++free;
+    return numSlots_ - free;
 }
 
 } // namespace ltp

@@ -11,11 +11,10 @@ Network::send(Message msg)
 
     // The receiver-side hand-off: egress serialization + flight is the
     // model's cross-node lookahead (networkLookahead), so the post
-    // always clears the parallel engine's window. Only the pooled
-    // handle crosses the shard boundary.
+    // always clears the engine's current window.
     Tick arrive = egressDone(msg) + params_.flightLatency;
-    MsgHandle h = pool().alloc(shardOf(msg.src), msg);
-    ctx().post(msg.dst, arrive, chan::pair(msg.src, msg.dst, numNodes()),
+    MsgHandle h = pool().alloc(msg);
+    ctx().post(arrive, chan::pair(msg.src, msg.dst, numNodes()),
                [this, h] { arriveAtIngress(h); });
 }
 

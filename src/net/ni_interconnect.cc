@@ -12,31 +12,16 @@ NiInterconnect::NiInterconnect(SimContext &ctx, NodeId num_nodes,
                                NetworkParams params)
     : params_(params),
       ctx_(&ctx),
-      nodeQueue_(num_nodes),
-      nodeShard_(num_nodes),
-      pool_(ctx.numShards()),
+      eq_(&ctx.queue()),
+      msgsSent_(&ctx.stats().counter("net.msgs")),
+      dataMsgs_(&ctx.stats().counter("net.dataMsgs")),
+      endToEndLatency_(&ctx.stats().average("net.endToEndLatency")),
+      latencyHist_(&ctx.stats().histogram("net.endToEndLatency", 32.0, 256)),
       niEgressFree_(num_nodes, 0),
       ingressQueue_(num_nodes),
       ingressBusy_(num_nodes, 0),
       sinks_(num_nodes)
 {
-    for (NodeId n = 0; n < num_nodes; ++n) {
-        nodeQueue_[n] = &ctx_->queueFor(n);
-        nodeShard_[n] = ctx_->shardOf(n);
-    }
-    unsigned shards = ctx_->numShards();
-    msgsSent_.reserve(shards);
-    dataMsgs_.reserve(shards);
-    endToEndLatency_.reserve(shards);
-    latencyHist_.reserve(shards);
-    for (unsigned s = 0; s < shards; ++s) {
-        StatGroup &stats = ctx_->shardStats(s);
-        msgsSent_.push_back(&stats.counter("net.msgs"));
-        dataMsgs_.push_back(&stats.counter("net.dataMsgs"));
-        endToEndLatency_.push_back(&stats.average("net.endToEndLatency"));
-        latencyHist_.push_back(
-            &stats.histogram("net.endToEndLatency", 32.0, 256));
-    }
 }
 
 NiInterconnect::NiInterconnect(std::unique_ptr<SimContext> owned,
@@ -64,14 +49,13 @@ bool
 NiInterconnect::injectLocalOrCount(Message &msg)
 {
     assert(msg.src < sinks_.size() && msg.dst < sinks_.size());
-    EventQueue &eq = q(msg.src);
+    EventQueue &eq = q();
     msg.injectedAt = eq.now();
     obs::Tracer::instant(obs::Cat::Message, msg.src, "inject", eq.now(),
                          msg.dst, std::uint64_t(msg.type));
-    unsigned shard = shardOf(msg.src);
-    msgsSent_[shard]->inc();
+    msgsSent_->inc();
     if (carriesData(msg.type))
-        dataMsgs_[shard]->inc();
+        dataMsgs_->inc();
     if (guard::Checks::on(obs::Cat::Message))
         guard::Checks::instance().countInject();
 
@@ -79,7 +63,7 @@ NiInterconnect::injectLocalOrCount(Message &msg)
         return false;
     // Local delivery: no NI serialization, a nominal 1-cycle hop. The
     // pooled handle keeps even this event's capture at two words.
-    MsgHandle h = pool_.alloc(shard, msg);
+    MsgHandle h = pool_.alloc(msg);
     eq.scheduleIn(1, [this, h] { deliver(h); });
     return true;
 }
@@ -88,7 +72,7 @@ Tick
 NiInterconnect::egressDone(const Message &msg)
 {
     Tick occ = niOccupancy(msg);
-    Tick start = std::max(q(msg.src).now(), niEgressFree_[msg.src]);
+    Tick start = std::max(q().now(), niEgressFree_[msg.src]);
     niEgressFree_[msg.src] = start + occ;
     return start + occ;
 }
@@ -112,7 +96,7 @@ NiInterconnect::serveIngress(NodeId node, MsgHandle h)
     // The busy flag serializes the NI: this event runs at (or, when the
     // NI went idle, after) the previous message's finish tick, so the
     // next service always starts now.
-    q(node).scheduleIn(niOccupancy(pool_.at(h)), [this, node, h] {
+    q().scheduleIn(niOccupancy(pool_.at(h)), [this, node, h] {
         deliver(h);
         std::deque<MsgHandle> &queue = ingressQueue_[node];
         if (queue.empty()) {
@@ -131,19 +115,19 @@ NiInterconnect::deliver(MsgHandle h)
     // Slabs never move, so this reference survives anything the sink
     // does (including injecting new messages); free only after it ran.
     const Message &msg = pool_.at(h);
-    Tick lat = q(msg.dst).now() - msg.injectedAt;
+    Tick now = q().now();
+    Tick lat = now - msg.injectedAt;
     // The end-to-end message-lifecycle span, named by type, on the
     // destination node's track: inject -> (NI, flight, hops) -> deliver.
     obs::Tracer::span(obs::Cat::Message, msg.dst, msgTypeName(msg.type),
-                      msg.injectedAt, q(msg.dst).now(), msg.src, msg.dst);
-    unsigned shard = shardOf(msg.dst);
-    endToEndLatency_[shard]->sample(double(lat));
-    latencyHist_[shard]->sample(double(lat));
+                      msg.injectedAt, now, msg.src, msg.dst);
+    endToEndLatency_->sample(double(lat));
+    latencyHist_->sample(double(lat));
     if (guard::Checks::on(obs::Cat::Message))
         guard::Checks::instance().countDeliver(msg.src, msg.dst,
-                                               msg.netSeq, q(msg.dst).now());
+                                               msg.netSeq, now);
     sinks_[msg.dst](msg);
-    pool_.free(h, shard);
+    pool_.free(h);
 }
 
 } // namespace ltp

@@ -10,12 +10,9 @@
  * links (RoutedNetwork) — which keeps the NI contention and latency
  * accounting of all models identical by construction.
  *
- * Sharding: every piece of NI state is owned by one node — the egress
- * server by the sender, the ingress queue and reorder state by the
- * receiver — and every event here runs on the owning node's queue
- * (SimContext::queueFor). Statistics are per-shard handles merged after
- * the run. The only cross-node step, handing a message from the
- * sender's fabric to the receiver, is the subclass's post() call.
+ * The only cross-node step, handing a message from the sender's fabric
+ * to the receiver, is the subclass's SimContext::post() call; every
+ * other event is a plain scheduleAt() on the run's queue.
  */
 
 #ifndef LTP_NET_NI_INTERCONNECT_HH
@@ -30,7 +27,7 @@
 #include "net/message.hh"
 #include "net/message_pool.hh"
 #include "net/topo/interconnect.hh"
-#include "sim/par/sim_context.hh"
+#include "sim/sim_context.hh"
 #include "sim/stats.hh"
 
 namespace ltp
@@ -52,11 +49,8 @@ class NiInterconnect : public Interconnect
     NiInterconnect(EventQueue &eq, NodeId num_nodes, NetworkParams params,
                    StatGroup &stats);
 
-    /** The queue @p node's events run on (a cached load, no call). */
-    EventQueue &q(NodeId node) { return *nodeQueue_[node]; }
-
-    /** The shard owning @p node (cached like q()). */
-    unsigned shardOf(NodeId node) const { return nodeShard_[node]; }
+    /** The run's event queue (a cached load, no virtual call). */
+    EventQueue &q() { return *eq_; }
 
     SimContext &ctx() { return *ctx_; }
 
@@ -86,15 +80,14 @@ class NiInterconnect : public Interconnect
     Tick egressDone(const Message &msg);
 
     /**
-     * The in-flight message arena. Subclasses alloc at injection (on
-     * the source node's shard) and every later hop moves only the
-     * handle; deliver() frees it after the sink ran.
+     * The in-flight message arena. Subclasses alloc at injection and
+     * every later hop moves only the handle; deliver() frees it after
+     * the sink ran.
      */
     MessagePool &pool() { return pool_; }
     const MessagePool &pool() const { return pool_; }
 
-    /** Hand @p h (arriving from the subclass's fabric) to dst's NI.
-     *  Runs on the destination node's shard. */
+    /** Hand @p h (arriving from the subclass's fabric) to dst's NI. */
     void arriveAtIngress(MsgHandle h);
 
     /** Sample latency stats, hand the message to its sink, free @p h. */
@@ -112,27 +105,19 @@ class NiInterconnect : public Interconnect
     SimContext *ctx_;
     std::unique_ptr<SimContext> ownedCtx_; //!< legacy-constructor shim
 
-    /** Per-node queue and shard, read from the context once at
-     *  construction: the node -> shard map is fixed for the engine's
-     *  lifetime and its queues never move, so the several lookups each
-     *  message and hop makes are plain loads, not virtual calls. */
-    std::vector<EventQueue *> nodeQueue_;
-    std::vector<unsigned> nodeShard_;
+    EventQueue *eq_;
     MessagePool pool_;
 
-    // Shared stat names, one handle per shard (merged after the run).
-    std::vector<Counter *> msgsSent_;
-    std::vector<Counter *> dataMsgs_;
-    std::vector<Average *> endToEndLatency_;
-    std::vector<Histogram *> latencyHist_;
+    Counter *msgsSent_;
+    Counter *dataMsgs_;
+    Average *endToEndLatency_;
+    Histogram *latencyHist_;
 
     /** Earliest tick each egress NI is free. */
     std::vector<Tick> niEgressFree_;
     /** Per-ingress-NI FIFO of arrived-but-undelivered messages. */
     std::vector<std::deque<MsgHandle>> ingressQueue_;
-    /** Nonzero while an ingress NI drain event is scheduled. One byte
-     *  per node, not vector<bool>: shards set the flags of different
-     *  nodes concurrently, and packed bits would share a word. */
+    /** Nonzero while an ingress NI drain event is scheduled. */
     std::vector<std::uint8_t> ingressBusy_;
     std::vector<Sink> sinks_;
 };

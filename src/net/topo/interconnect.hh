@@ -81,15 +81,13 @@ void validateNetworkParams(const NetworkParams &params, NodeId num_nodes);
 
 /**
  * The interconnect's guaranteed minimum cross-node latency in ticks —
- * the conservative lookahead the parallel engine's windows are built
- * on (0 when the timing knobs leave none, or linkBandwidth is invalid).
+ * the lookahead that bounds the engine's window width (0 when the
+ * timing knobs leave none, or linkBandwidth is invalid).
  *
  * Point-to-point: egress serialization + wire flight. Routed: every
  * cross-router interaction is at least one link serialization plus the
  * wire and router pipeline; with finite vcDepth the wire-delayed credit
- * return (hopLatency) bounds it instead. Every routing policy shards:
- * oblivious routing's coin flips are counter-based pure hashes of
- * (src, dst, netSeq, router), not a shared stream.
+ * return (hopLatency) bounds it instead.
  */
 Tick networkLookahead(const NetworkParams &params);
 

@@ -37,13 +37,11 @@ RoutedNetwork::RoutedNetwork(SimContext &ctx, NodeId num_nodes,
     assert(params_.topology != TopologyKind::PointToPoint &&
            "use Network for the point-to-point model");
 
-    for (unsigned s = 0; s < ctx.numShards(); ++s) {
-        StatGroup &stats = ctx.shardStats(s);
-        hops_.push_back(&stats.counter("net.hops"));
-        hopsPerMsg_.push_back(&stats.average("net.hopsPerMsg"));
-        escapeReroutes_.push_back(&stats.counter("net.escapeReroutes"));
-        reorderHeld_.push_back(&stats.counter("net.reorderHeld"));
-    }
+    StatGroup &stats = ctx.stats();
+    hops_ = &stats.counter("net.hops");
+    hopsPerMsg_ = &stats.average("net.hopsPerMsg");
+    escapeReroutes_ = &stats.counter("net.escapeReroutes");
+    reorderHeld_ = &stats.counter("net.reorderHeld");
 
     escapeVcs_ = geom_.wraps() ? 2 : 1;
     unsigned auto_vcs =
@@ -55,9 +53,6 @@ RoutedNetwork::RoutedNetwork(SimContext &ctx, NodeId num_nodes,
     links_.reserve(geom_.numLinks());
     for (std::size_t l = 0; l < geom_.numLinks(); ++l) {
         const TopoLink &tl = geom_.link(l);
-        // A link's queue/credit/busy state is owned by its upstream
-        // router's shard: its counters register there too.
-        StatGroup &stats = ctx.shardStats(shardOf(tl.from));
         Link link;
         static_cast<TopoLink &>(link) = tl;
         link.vcq.resize(numVcs_);
@@ -91,7 +86,7 @@ RoutedNetwork::obliviousPick(NodeId at, const Message &msg,
     // A pure draw per (injection, hop): the message's (src, dst, netSeq)
     // names the injection, and productive routing visits any router at
     // most once, so `at` names the hop. No router consumes anyone
-    // else's stream, which is what lets oblivious routing shard.
+    // else's stream, so a pick never depends on event order.
     constexpr std::uint64_t seed = 0x0B11'0B11'0B11'0B11ull;
     return unsigned(counterHash(seed, msg.src, msg.dst, msg.netSeq, at) %
                     n);
@@ -135,8 +130,8 @@ RoutedNetwork::send(Message msg)
     msg.netVcFlags = 0;
     NodeId src = msg.src;
     Tick clear = egressDone(msg);
-    MsgHandle h = pool().alloc(shardOf(src), msg);
-    q(src).scheduleAt(clear, [this, src, h] { forward(src, h, -1, 0); });
+    MsgHandle h = pool().alloc(msg);
+    q().scheduleAt(clear, [this, src, h] { forward(src, h, -1, 0); });
 }
 
 void
@@ -177,7 +172,7 @@ RoutedNetwork::enqueue(std::size_t l, Entry e)
     e.seq = link.nextSeq++;
     if (link.waiting == 0 && !link.draining && linkIdle(link) &&
         hasCredit(link, e.vc)) {
-        grantAt(l, e, q(link.from).now());
+        grantAt(l, e, q().now());
         return;
     }
     link.vcq[e.vc].push_back(e);
@@ -232,7 +227,7 @@ RoutedNetwork::armEngine(std::size_t l)
     if (link.armed || link.waiting == 0)
         return;
     link.armed = true;
-    q(link.from).scheduleAt(link.freeAt, [this, l] {
+    q().scheduleAt(link.freeAt, [this, l] {
         links_[l].armed = false;
         // pump(), not drainLink(): a credit that landed earlier this
         // tick may already have granted and re-busied the link.
@@ -267,7 +262,7 @@ RoutedNetwork::drainLink(std::size_t l)
     // batch; armEngine re-decides at freeAt with fresh state. Grant
     // outcomes, ticks and VCs are therefore identical to the
     // one-event-per-grant engine; only the posting event differs.
-    Tick now = q(link.from).now();
+    Tick now = q().now();
     Tick start = now;
     for (;;) {
         int oldest = oldestHead(link, 0, false);
@@ -300,9 +295,9 @@ RoutedNetwork::drainLink(std::size_t l)
 
         Entry e = popHead(link, unsigned(blocked));
         const Message &msg = pool().at(e.h);
-        escapeReroutes_[shardOf(link.from)]->inc();
+        escapeReroutes_->inc();
         obs::Tracer::instant(obs::Cat::Link, link.from, "escape reroute",
-                             q(link.from).now(), msg.dst);
+                             now, msg.dst);
         std::size_t el = geom_.dorLink(link.from, msg.dst);
         e.vc = escapeVc(links_[el], msg);
         if (el == l) {
@@ -345,15 +340,14 @@ RoutedNetwork::grantAt(std::size_t l, Entry e, Tick start)
     Tick ser = serializationTicks(msg);
     if (guard::Faults::on(guard::FaultKind::LinkStall)) {
         // Deterministic jitter: a pure hash of (seed, link, grant
-        // index). The grant sequence on a link is itself deterministic
-        // and shard-count invariant, so fault-injected runs stay
-        // bit-reproducible at every simThreads value.
+        // index). The grant sequence on a link is itself deterministic,
+        // so fault-injected runs stay bit-reproducible.
         ser += guard::Faults::instance().linkStallTicks(l,
                                                         link.faultGrants++);
     }
     link.msgs->inc();
     link.busyCycles->inc(ser);
-    hops_[shardOf(link.from)]->inc();
+    hops_->inc();
     // The wire-busy span on the upstream router's track: one grant =
     // one serialization window on link from->to via the allocated VC.
     obs::Tracer::span(obs::Cat::Link, link.from, "grant", start,
@@ -372,7 +366,7 @@ RoutedNetwork::grantAt(std::size_t l, Entry e, Tick start)
     // Serialization end is pure bookkeeping (`freeAt`), not an event:
     // the batched link engine (armEngine) only materializes a drain
     // event when traffic is actually waiting for the wire. The arrival
-    // mutates the downstream router and crosses shards through post()
+    // mutates the downstream router and is posted on the link's channel
     // with serialization + wire + pipeline of lookahead.
     Tick done = start + ser;
     link.freeAt = done;
@@ -380,7 +374,7 @@ RoutedNetwork::grantAt(std::size_t l, Entry e, Tick start)
     Tick arrive = done + params_.hopLatency + params_.routerLatency;
     std::uint8_t vc = e.vc;
     MsgHandle h = e.h;
-    ctx().post(link.to, arrive, chan::link(l),
+    ctx().post(arrive, chan::link(l),
                [this, l, vc, h] { arriveAtRouter(l, vc, h); });
 }
 
@@ -388,13 +382,12 @@ void
 RoutedNetwork::scheduleCreditReturn(std::size_t l, std::uint8_t vc,
                                     Tick from)
 {
-    // Both callers (a downstream grant, an ejection) execute on the
-    // shard of links_[l].to — the router holding the freed buffer slot —
-    // while the credit mutates links_[l], owned by links_[l].from's
-    // shard one wire hop upstream. @p from is the freeing grant's
-    // (possibly virtual) start tick, >= the posting event's now.
+    // Both callers (a downstream grant, an ejection) free a buffer slot
+    // at router links_[l].to; the credit flies one wire hop back to
+    // links_[l].from. @p from is the freeing grant's (possibly
+    // virtual) start tick, >= the posting event's now.
     Tick when = from + params_.hopLatency;
-    ctx().post(links_[l].from, when, chan::credit(l), [this, l, vc] {
+    ctx().post(when, chan::credit(l), [this, l, vc] {
         Link &link = links_[l];
         ++link.credits[vc];
         assert(link.credits[vc] <= params_.vcDepth &&
@@ -423,7 +416,7 @@ RoutedNetwork::arriveAtRouter(std::size_t l, std::uint8_t vc, MsgHandle h)
         // Ejection is always available, so the input-buffer slot frees
         // immediately.
         if (bounded())
-            scheduleCreditReturn(l, vc, q(at).now());
+            scheduleCreditReturn(l, vc, q().now());
         if (pairs_.empty())
             arriveAtIngress(h); // dimension-order: already pairwise FIFO
         else
@@ -441,7 +434,7 @@ RoutedNetwork::reorderDeliver(MsgHandle h)
     if (msg.netSeq != ps.nextSeq) {
         // An earlier injection of this pair is still in flight (adaptive
         // or oblivious routing took a different path); park this one.
-        reorderHeld_[shardOf(msg.dst)]->inc();
+        reorderHeld_->inc();
         ps.pending.emplace(msg.netSeq, h);
         return;
     }
@@ -459,7 +452,7 @@ void
 RoutedNetwork::deliver(MsgHandle h)
 {
     const Message &msg = pool().at(h);
-    hopsPerMsg_[shardOf(msg.dst)]->sample(
+    hopsPerMsg_->sample(
         double(geom_.hopCount(msg.src, msg.dst)));
     NiInterconnect::deliver(h);
 }

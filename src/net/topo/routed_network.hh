@@ -206,7 +206,7 @@ class RoutedNetwork : public NiInterconnect
     bool
     linkIdle(const Link &link)
     {
-        return q(link.from).now() >= link.freeAt;
+        return q().now() >= link.freeAt;
     }
 
     /** Route @p h's message (now at router @p at) onto its next output
@@ -273,18 +273,14 @@ class RoutedNetwork : public NiInterconnect
     /** Oblivious-routing coin flip for @p msg leaving router @p at: a
      *  pure counterHash of (seed, src, dst, netSeq, at). Counter-based
      *  per-(src, dst) streams — no shared RNG state, no consumption
-     *  order — so oblivious routing shards like any other policy and
-     *  stays bit-identical for every simThreads value. */
+     *  order. */
     unsigned obliviousPick(NodeId at, const Message &msg,
                            unsigned n) const;
 
-    // Shared stat names, one handle per shard (merged after the run).
-    // Router-side stats index by the link owner's shard, delivery-side
-    // stats by the destination's shard.
-    std::vector<Counter *> hops_;
-    std::vector<Average *> hopsPerMsg_;
-    std::vector<Counter *> escapeReroutes_;
-    std::vector<Counter *> reorderHeld_;
+    Counter *hops_ = nullptr;
+    Average *hopsPerMsg_ = nullptr;
+    Counter *escapeReroutes_ = nullptr;
+    Counter *reorderHeld_ = nullptr;
 };
 
 } // namespace ltp

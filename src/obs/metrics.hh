@@ -15,11 +15,9 @@
  * simulation events (a self-rescheduling sampler event would inflate
  * eventsExecuted and drag the run to maxTicks). Instead the engine
  * calls maybeSample() from instrumentation points where all simulated
- * state is quiescent — the EventQueue's tick watcher for one-shard
- * runs, the conservative-window planning barrier for multi-shard ones.
- * Sample *timing* therefore quantizes to window boundaries under the
- * parallel engine, but sampled *values* are the same deterministic
- * merged statistics the final dump reports.
+ * state is quiescent — the EventQueue's tick watcher, which fires
+ * between events. Sampled values are the same deterministic statistics
+ * the final dump reports.
  *
  * JSONL schema (one object per line):
  *   {"tick": T, "sinceTick": T0, "events": deltaRetired,

@@ -36,8 +36,8 @@ struct ObsParams
     std::string traceFile;
     /** Mask of traced categories (obs/categories.hh). */
     std::uint32_t tracerCategories = allCatsMask;
-    /** Per-shard trace record cap (drops are counted, never silent). */
-    std::size_t traceEventCapPerShard = std::size_t(1) << 20;
+    /** Trace record cap (drops are counted, never silent). */
+    std::size_t traceEventCap = std::size_t(1) << 20;
 
     /** JSONL metrics output path; empty = sampling off. */
     std::string metricsFile;

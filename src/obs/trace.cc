@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <numeric>
 
 namespace ltp
 {
@@ -16,9 +15,6 @@ std::atomic<std::uint32_t> Tracer::activeMask_{0};
 
 namespace
 {
-
-/** The calling thread's shard buffer index; rebound by bindThread(). */
-thread_local unsigned tlsTraceShard = 0;
 
 std::string
 substitutePid(std::string path)
@@ -39,20 +35,7 @@ Tracer::instance()
 }
 
 void
-Tracer::bindThread(unsigned shard)
-{
-    tlsTraceShard = shard;
-}
-
-unsigned
-Tracer::boundShard()
-{
-    return tlsTraceShard;
-}
-
-void
-Tracer::start(const TraceConfig &config,
-              const std::vector<unsigned> &node_shard)
+Tracer::start(const TraceConfig &config, NodeId num_nodes)
 {
     if (active())
         stop();
@@ -60,14 +43,10 @@ Tracer::start(const TraceConfig &config,
         return;
 
     config_ = config;
-    nodeShard_ = node_shard;
-    unsigned shards = 1;
-    for (unsigned s : nodeShard_)
-        shards = std::max(shards, s + 1);
-    buffers_.clear();
-    for (unsigned s = 0; s < shards; ++s)
-        buffers_.push_back(std::make_unique<ShardBuf>());
-    lastDropped_ = 0;
+    numNodes_ = num_nodes;
+    recs_.clear();
+    dropped_ = 0;
+    active_ = true;
     activeMask_.store(config_.categories & allCatsMask,
                       std::memory_order_relaxed);
 }
@@ -76,12 +55,8 @@ void
 Tracer::record(Cat c, bool span, std::uint32_t node, const char *name,
                Tick ts, Tick dur, std::uint64_t a0, std::uint64_t a1)
 {
-    unsigned shard = tlsTraceShard;
-    if (shard >= buffers_.size())
-        shard = 0;
-    ShardBuf &buf = *buffers_[shard];
-    if (buf.count >= config_.eventCapPerShard) {
-        ++buf.dropped;
+    if (recs_.size() >= config_.eventCap) {
+        ++dropped_;
         return;
     }
     Rec rec;
@@ -91,14 +66,9 @@ Tracer::record(Cat c, bool span, std::uint32_t node, const char *name,
     rec.a1 = a1;
     rec.name = name;
     rec.node = node;
-    rec.shard = std::uint16_t(shard);
     rec.cat = std::uint8_t(c);
     rec.span = span;
-    // Lane idiom: once a buffer has spilled past its ring it must keep
-    // spilling, or ring-then-spill drain order would interleave.
-    if (!buf.spill.empty() || !buf.ring.tryPush(std::move(rec)))
-        buf.spill.push_back(rec);
-    ++buf.count;
+    recs_.push_back(rec);
 }
 
 void
@@ -107,19 +77,10 @@ Tracer::stop()
     if (!active())
         return;
     activeMask_.store(0, std::memory_order_relaxed);
+    active_ = false;
 
     std::vector<Rec> recs;
-    lastDropped_ = 0;
-    for (auto &buf : buffers_) {
-        recs.reserve(recs.size() + buf->count);
-        Rec rec;
-        while (buf->ring.tryPop(rec))
-            recs.push_back(rec);
-        recs.insert(recs.end(), buf->spill.begin(), buf->spill.end());
-        lastDropped_ += buf->dropped;
-    }
-    unsigned shards = unsigned(buffers_.size());
-    buffers_.clear();
+    recs.swap(recs_);
 
     // Perfetto tolerates unsorted input, but a time-sorted file is
     // friendlier to trace_summarize.py and to diffing.
@@ -130,46 +91,33 @@ Tracer::stop()
     if (!out)
         return;
 
-    auto pidOf = [](const Rec &r) {
-        return Cat(r.cat) == Cat::Engine ? enginePidBase + r.node : r.node;
-    };
-
     out << "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":"
-        << lastDropped_ << "},\"traceEvents\":[\n";
+        << dropped_ << "},\"traceEvents\":[\n";
     bool first = true;
     auto comma = [&] {
         if (!first)
             out << ",\n";
         first = false;
     };
-    for (std::uint32_t node = 0; node < nodeShard_.size(); ++node) {
+    for (std::uint32_t node = 0; node < numNodes_; ++node) {
         comma();
         out << "{\"ph\":\"M\",\"pid\":" << node
             << ",\"name\":\"process_name\",\"args\":{\"name\":\"node "
             << node << "\"}}";
-        comma();
-        out << "{\"ph\":\"M\",\"pid\":" << node << ",\"tid\":"
-            << nodeShard_[node]
-            << ",\"name\":\"thread_name\",\"args\":{\"name\":\"shard "
-            << nodeShard_[node] << "\"}}";
     }
-    for (unsigned s = 0; s < shards; ++s) {
-        comma();
-        out << "{\"ph\":\"M\",\"pid\":" << (enginePidBase + s)
-            << ",\"name\":\"process_name\",\"args\":{\"name\":"
-            << "\"engine shard " << s << "\"}}";
-    }
+    comma();
+    out << "{\"ph\":\"M\",\"pid\":" << enginePid
+        << ",\"name\":\"process_name\",\"args\":{\"name\":\"engine\"}}";
     char line[256];
     for (const Rec &rec : recs) {
         comma();
         if (rec.span) {
             std::snprintf(line, sizeof(line),
                           "{\"ph\":\"X\",\"cat\":\"%s\",\"name\":\"%s\","
-                          "\"pid\":%u,\"tid\":%u,\"ts\":%llu,"
+                          "\"pid\":%u,\"tid\":0,\"ts\":%llu,"
                           "\"dur\":%llu,\"args\":{\"a0\":%llu,"
                           "\"a1\":%llu}}",
-                          catName(Cat(rec.cat)), rec.name, pidOf(rec),
-                          unsigned(rec.shard),
+                          catName(Cat(rec.cat)), rec.name, rec.node,
                           (unsigned long long)rec.ts,
                           (unsigned long long)rec.dur,
                           (unsigned long long)rec.a0,
@@ -177,11 +125,10 @@ Tracer::stop()
         } else {
             std::snprintf(line, sizeof(line),
                           "{\"ph\":\"i\",\"s\":\"t\",\"cat\":\"%s\","
-                          "\"name\":\"%s\",\"pid\":%u,\"tid\":%u,"
+                          "\"name\":\"%s\",\"pid\":%u,\"tid\":0,"
                           "\"ts\":%llu,\"args\":{\"a0\":%llu,"
                           "\"a1\":%llu}}",
-                          catName(Cat(rec.cat)), rec.name, pidOf(rec),
-                          unsigned(rec.shard),
+                          catName(Cat(rec.cat)), rec.name, rec.node,
                           (unsigned long long)rec.ts,
                           (unsigned long long)rec.a0,
                           (unsigned long long)rec.a1);
@@ -191,50 +138,15 @@ Tracer::stop()
     out << "\n]}\n";
 }
 
-std::uint64_t
-Tracer::droppedRecords() const
-{
-    std::uint64_t dropped = lastDropped_;
-    for (const auto &buf : buffers_)
-        dropped += buf->dropped;
-    return dropped;
-}
-
-std::uint64_t
-Tracer::bufferedRecords() const
-{
-    std::uint64_t count = 0;
-    for (const auto &buf : buffers_)
-        count += buf->count;
-    return count;
-}
-
 std::vector<Tracer::Rec>
 Tracer::tailRecords(std::size_t max_records) const
 {
-    std::vector<Rec> recs;
-    for (const auto &buf : buffers_) {
-        // Per-shard emit order is ring first, then spill (the lane
-        // idiom keeps that FIFO); walk each source from its newest end,
-        // at most max_records per shard — the global sort below trims
-        // the merged set.
-        std::size_t want = max_records;
-        const std::vector<Rec> &spill = buf->spill;
-        for (std::size_t i = spill.size(); i > 0 && want; --i, --want)
-            recs.push_back(spill[i - 1]);
-        // The ring is never popped while a run is active, so its live
-        // sequence range is exactly [0, rawTail) and rawTail never
-        // exceeds the ring capacity.
-        for (std::size_t seq = buf->ring.rawTail(); seq > 0 && want;
-             --seq, --want) {
-            if (const Rec *rec = buf->ring.rawSlot(seq - 1))
-                recs.push_back(*rec);
-        }
-    }
+    // The newest emits, ordered by timestamp (a span is emitted when it
+    // ends, stamped with its start).
+    std::size_t n = std::min(max_records, recs_.size());
+    std::vector<Rec> recs(recs_.end() - std::ptrdiff_t(n), recs_.end());
     std::stable_sort(recs.begin(), recs.end(),
                      [](const Rec &a, const Rec &b) { return a.ts < b.ts; });
-    if (recs.size() > max_records)
-        recs.erase(recs.begin(), recs.end() - std::ptrdiff_t(max_records));
     return recs;
 }
 

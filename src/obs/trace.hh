@@ -2,35 +2,29 @@
  * @file
  * Zero-perturbation event tracer: Chrome-trace/Perfetto JSON output.
  *
- * The tracer records compact fixed-size event records into per-shard
- * buffers while the simulation runs and serializes them to one
- * Chrome-trace JSON file (loadable at https://ui.perfetto.dev) when the
- * run ends. It is strictly observer-only:
+ * The tracer records compact fixed-size event records into one buffer
+ * while the simulation runs and serializes them to one Chrome-trace
+ * JSON file (loadable at https://ui.perfetto.dev) when the run ends.
+ * It is strictly observer-only:
  *
  *  - Nothing here touches the EventQueue, a StatGroup, or any simulated
  *    state, so every golden output and statistics dump is byte-identical
- *    with tracing on or off, at every shard count.
+ *    with tracing on or off.
  *
  *  - The disabled fast path is one load + test of a cached bitmask
  *    (Tracer::on()); call sites compile to a predictable untaken branch.
  *    Defining LTP_OBS_DISABLE_TRACE removes even that: every emit
  *    helper becomes an empty inline function.
  *
- *  - The enabled path is wait-free per record: each simulation worker
- *    thread owns one buffer (the parallel engine binds its shard index
- *    through bindThread()), built from the mailbox-lane idiom of
- *    src/sim/par/spsc_ring.hh — a fixed SPSC ring absorbs the common
- *    case, a spill vector absorbs bursts, and once a buffer spills it
- *    keeps spilling so ring-then-spill drain order stays FIFO. A hard
- *    per-shard record cap bounds memory; records beyond it are counted
- *    (`dropped` in the JSON metadata), never silently lost.
+ *  - The enabled path appends to a vector. A hard record cap bounds
+ *    memory; records beyond it are counted (`dropped` in the JSON
+ *    metadata), never silently lost.
  *
- * Track model: pid = simulated node (process track), tid = executing
- * shard (thread track), exactly as the parallel engine partitions work.
- * Engine-internal events (windows, barrier waits, mailbox spills) have
- * no node; they ride synthetic "engine shard S" processes at
- * pid = enginePidBase + shard. Timestamps are simulated ticks written
- * as trace microseconds: 1 us in the viewer == 1 simulated cycle.
+ * Track model: pid = simulated node (process track). Engine-internal
+ * events (windowed rounds) have no node; they ride a synthetic
+ * "engine" process at pid = enginePid. Timestamps are simulated ticks
+ * written as trace microseconds: 1 us in the viewer == 1 simulated
+ * cycle.
  *
  * The tracer is a process-wide singleton (like Debug in sim/log.hh):
  * components emit without threading a pointer through every
@@ -43,12 +37,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "obs/categories.hh"
-#include "sim/par/spsc_ring.hh"
 #include "sim/types.hh"
 
 namespace ltp
@@ -56,12 +48,8 @@ namespace ltp
 namespace obs
 {
 
-/**
- * Synthetic pid base for engine (per-shard, node-less) tracks. Emitters
- * of Cat::Engine records pass the shard id where other categories pass
- * the node id; serialization maps it to pid = enginePidBase + shard.
- */
-constexpr std::uint32_t enginePidBase = 1'000'000;
+/** Synthetic pid of the engine's (node-less) track. */
+constexpr std::uint32_t enginePid = 1'000'000;
 
 /** Tracer configuration (threaded through SystemParams::obs). */
 struct TraceConfig
@@ -70,8 +58,8 @@ struct TraceConfig
     std::string path;
     /** Category mask (see obs/categories.hh); default: everything. */
     std::uint32_t categories = allCatsMask;
-    /** Hard cap on records per shard buffer (ring + spill). */
-    std::size_t eventCapPerShard = std::size_t(1) << 20;
+    /** Hard cap on buffered records. */
+    std::size_t eventCap = std::size_t(1) << 20;
 };
 
 class Tracer
@@ -94,23 +82,14 @@ class Tracer
     }
 
     /**
-     * Begin a traced run: allocate @p shards record buffers, remember
-     * the node -> shard map (@p node_shard) for track metadata, and
+     * Begin a traced run of @p num_nodes nodes (one track each) and
      * enable the configured categories. Flushes any still-active trace
      * first. No-op when @p config.path is empty.
      */
-    void start(const TraceConfig &config,
-               const std::vector<unsigned> &node_shard);
+    void start(const TraceConfig &config, NodeId num_nodes);
 
-    /** End the run: drain every buffer to the JSON file, disable. */
+    /** End the run: write the buffer to the JSON file, disable. */
     void stop();
-
-    /**
-     * Bind the calling thread to shard @p shard's buffer. The parallel
-     * engine calls this as each worker starts; single-threaded runs
-     * write through the default binding (shard 0).
-     */
-    static void bindThread(unsigned shard);
 
     /** A span [@p start, @p end] on node @p node's track. */
     static void
@@ -140,45 +119,21 @@ class Tracer
 #endif
     }
 
-    /** Shard the calling thread is bound to (bindThread; default 0). */
-    static unsigned boundShard();
-
-    /**
-     * Engine-track span/instant: Cat::Engine on the calling thread's
-     * own shard track (the shard id rides the node field — see
-     * enginePidBase).
-     */
+    /** Engine-track span: Cat::Engine on the engine's own track. */
     static void
     engineSpan(const char *name, Tick start, Tick end,
                std::uint64_t a0 = 0, std::uint64_t a1 = 0)
     {
-#ifndef LTP_OBS_DISABLE_TRACE
-        if (on(Cat::Engine))
-            span(Cat::Engine, boundShard(), name, start, end, a0, a1);
-#else
-        (void)name; (void)start; (void)end; (void)a0; (void)a1;
-#endif
+        span(Cat::Engine, enginePid, name, start, end, a0, a1);
     }
 
-    static void
-    engineInstant(const char *name, Tick ts, std::uint64_t a0 = 0,
-                  std::uint64_t a1 = 0)
-    {
-#ifndef LTP_OBS_DISABLE_TRACE
-        if (on(Cat::Engine))
-            instant(Cat::Engine, boundShard(), name, ts, a0, a1);
-#else
-        (void)name; (void)ts; (void)a0; (void)a1;
-#endif
-    }
-
-    /** Records dropped over the per-shard cap in the last/current run. */
-    std::uint64_t droppedRecords() const;
+    /** Records dropped over the cap in the last/current run. */
+    std::uint64_t droppedRecords() const { return dropped_; }
 
     /** Records currently buffered (tests). */
-    std::uint64_t bufferedRecords() const;
+    std::uint64_t bufferedRecords() const { return recs_.size(); }
 
-    bool active() const { return !buffers_.empty(); }
+    bool active() const { return active_; }
 
     /**
      * One buffered trace record. `name` must point at storage that
@@ -192,38 +147,20 @@ class Tracer
         std::uint64_t a1 = 0;
         const char *name = nullptr;
         std::uint32_t node = 0;
-        std::uint16_t shard = 0;
         std::uint8_t cat = 0;
         bool span = false;
     };
 
     /**
-     * The newest (by timestamp) @p max_records buffered records without
-     * consuming them, oldest first — the crash flight recorder's view
-     * of "what just happened". Race-free after the run's workers have
-     * joined (the clean abort path); from a crash signal handler it is
-     * best-effort by contract: the rings are read non-destructively via
-     * their raw slots and a record being written concurrently may come
-     * back torn.
+     * The @p max_records newest buffered records without consuming
+     * them, sorted by timestamp — the crash flight recorder's view
+     * of "what just happened". Race-free on the clean abort path; from
+     * a crash signal handler it is best-effort by contract: the run
+     * may have been interrupted mid-append.
      */
     std::vector<Rec> tailRecords(std::size_t max_records) const;
 
   private:
-    static constexpr std::size_t ringCapacity = 4096;
-
-    /**
-     * One shard's record buffer — the ParallelScheduler::Lane idiom:
-     * ring first, spill after the first overflow (so drain order stays
-     * FIFO), hard cap with a drop counter after that.
-     */
-    struct ShardBuf
-    {
-        SpscRing<Rec, ringCapacity> ring;
-        std::vector<Rec> spill;
-        std::uint64_t dropped = 0;
-        std::size_t count = 0;
-    };
-
     Tracer() = default;
 
     void record(Cat c, bool span, std::uint32_t node, const char *name,
@@ -231,16 +168,16 @@ class Tracer
 
     /**
      * The guard every emit helper reads; nonzero only while a traced
-     * run is active. Atomic because persistent engine workers may
-     * exist across start()/stop(); relaxed is enough — buffer
-     * visibility is ordered by the engine's own run barriers.
+     * run is active. A relaxed atomic costs a plain load on the hot
+     * path and keeps the flag race-free whatever thread emits.
      */
     static std::atomic<std::uint32_t> activeMask_;
 
     TraceConfig config_;
-    std::vector<unsigned> nodeShard_;
-    std::vector<std::unique_ptr<ShardBuf>> buffers_;
-    std::uint64_t lastDropped_ = 0;
+    NodeId numNodes_ = 0;
+    bool active_ = false;
+    std::vector<Rec> recs_;
+    std::uint64_t dropped_ = 0;
 };
 
 } // namespace obs

@@ -308,9 +308,8 @@ EventQueue::runWindowed(Tick limit, Tick window)
         Tick when = slot(std::uint32_t(s)).when;
         if (when > windowEnd_ || !windowOpen_) {
             // First event past the round (or the very first event, even
-            // at tick 0): the staged engine would have hit a barrier
-            // here, planned [when, when + L), and merged its mailboxes.
-            // The merge already happened incrementally
+            // at tick 0): open the round [when, when + L). Posts were
+            // already filed under their round's phase
             // (scheduleAtChannel); only the phase boundary remains.
             windowOpen_ = true;
             windowEnd_ = std::min(when + window - 1, limit);

@@ -39,9 +39,9 @@
  * tick's events execute in ascending key order:
  *
  *  - scheduleAt() events ("locals") take the queue's current even phase
- *    and channel 0, so with no rounds in play (the plain sequential
- *    engine: phase stays 0) same-tick order is pure FIFO — exactly the
- *    historical behaviour.
+ *    and channel 0, so with no rounds in play (a queue driven by
+ *    run()/runUntil(): phase stays 0) same-tick order is pure FIFO —
+ *    exactly the historical behaviour.
  *
  *  - scheduleAtChannel() events ("channel posts") take the current odd
  *    phase (phase + 1) and the caller's channel id: at one tick they
@@ -50,11 +50,11 @@
  *    r land between round r's locals and round r+1's locals.
  *
  * This is the canonical (deliveryTick, channel) tie-break of the
- * parallel engine (src/sim/par/): a 1-shard ParallelScheduler posts
- * straight into the queue through scheduleAtChannel() and the sorted tick
- * list reproduces, insertion-order-independently, exactly the order
- * the multi-shard engine realizes by sorting its mailbox lanes at a
- * window barrier.
+ * engine (sim/windowed_scheduler.hh): WindowedScheduler posts straight
+ * into the queue through scheduleAtChannel() and runWindowed() opens
+ * the rounds, so the sorted tick list reproduces,
+ * insertion-order-independently, the order of an engine that exchanges
+ * posts between rounds and merges them by (tick, channel).
  */
 
 #ifndef LTP_SIM_EVENT_QUEUE_HH
@@ -130,8 +130,7 @@ class EventQueue
      * Ordering key: (current odd phase, chan, schedule sequence). At one
      * tick, channel events of a round execute after that round's
      * scheduleAt() events, ordered by channel id and FIFO within a
-     * channel — the parallel engine's canonical (tick, channel) merge
-     * order, realized here directly without mailbox staging.
+     * channel — the canonical (tick, channel) merge order.
      */
     EventId
     scheduleAtChannel(Tick when, std::uint64_t chan, Callback &&cb)
@@ -189,13 +188,9 @@ class EventQueue
      * inline: whenever the next event lies beyond the current round's
      * window, open a new round (beginRound()) spanning
      * [tick, tick + @p window) — clamped to @p limit — before executing
-     * it. This replays exactly the window sequence the staged parallel
-     * engine would plan at its barriers (the window start is the global
-     * minimum pending tick, which for one shard is simply the next
-     * event), at the cost of one compare per event instead of a
-     * separate peek-plan-execute pass per round. The 1-shard fast path
-     * is this call; windowEnd() exposes the current round's end for the
-     * post() lookahead assertion.
+     * it, at the cost of one compare per event. WindowedScheduler's run
+     * loop is this call; windowEnd() exposes the current round's end
+     * for the post() lookahead assertion.
      */
     Tick runWindowed(Tick limit, Tick window);
 
@@ -279,7 +274,7 @@ class EventQueue
         return executedMirror_.load(std::memory_order_relaxed);
     }
 
-    /** Windows opened by runWindowed() (the 1-shard round count). */
+    /** Windows opened by runWindowed() (the engine's round count). */
     std::uint64_t windowedRounds() const { return windowedRounds_; }
     /** Sum of runWindowed() window widths in ticks. */
     std::uint64_t windowedTicksSum() const { return windowedTicksSum_; }
@@ -288,9 +283,8 @@ class EventQueue
 
     /**
      * Tick of the earliest pending (non-cancelled) event, or tickNever
-     * when the queue is drained. Used by the parallel engine to plan
-     * conservative windows; prunes overflow-heap tombstones as a side
-     * effect but never dequeues or executes anything.
+     * when the queue is drained. Prunes overflow-heap tombstones as a
+     * side effect but never dequeues or executes anything.
      */
     Tick nextEventTick();
 

@@ -19,8 +19,8 @@ Checks::arm(std::uint32_t mask, NodeId num_nodes, bool pair_fifo)
 {
     numNodes_ = num_nodes;
     pairFifo_ = pair_fifo;
-    injected_.store(0, std::memory_order_relaxed);
-    delivered_.store(0, std::memory_order_relaxed);
+    injected_ = 0;
+    delivered_ = 0;
     nextSeq_.assign(pair_fifo ? std::size_t(num_nodes) * num_nodes : 0, 0);
     mask_.store(mask, std::memory_order_release);
 }
@@ -38,7 +38,7 @@ void
 Checks::countDeliver(NodeId src, NodeId dst, std::uint32_t net_seq,
                      Tick now)
 {
-    delivered_.fetch_add(1, std::memory_order_relaxed);
+    ++delivered_;
     if (!pairFifo_ || src == dst)
         return; // local bypass never enters the fabric: no netSeq
     std::uint32_t &next = nextSeq_[std::size_t(src) * numNodes_ + dst];

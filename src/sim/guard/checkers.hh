@@ -26,9 +26,8 @@
  *
  * Checks is a process-wide singleton armed per run by DsmSystem (the
  * obs::Tracer pattern); the disarmed fast path is one relaxed atomic
- * load. Hot-path counters are relaxed atomics: shards count injections
- * and deliveries concurrently, and the totals are only compared at
- * quiesce, after the engine joined its workers.
+ * load. The injection/delivery totals are only compared at quiesce,
+ * after the run returned.
  */
 
 #ifndef LTP_SIM_GUARD_CHECKERS_HH
@@ -82,33 +81,20 @@ class Checks
 
     /** Hot hook: a message entered the network (any topology). */
     void
-    countInject()
-    {
-        injected_.fetch_add(1, std::memory_order_relaxed);
-    }
+    countInject() { ++injected_; }
 
     /**
      * Hot hook: a message reached its destination sink. Also enforces
      * pairwise FIFO when armed: the routed network stamps netSeq per
      * (src, dst) from 0, so delivery order on a pair must be exactly
      * 0, 1, 2, ... — anything else means the ingress reorder buffer
-     * let a message overtake. Runs on dst's shard; each pair slot has
-     * a single writer, so the seq table needs no synchronization.
+     * let a message overtake.
      */
     void countDeliver(NodeId src, NodeId dst, std::uint32_t net_seq,
                       Tick now);
 
-    std::uint64_t
-    injected() const
-    {
-        return injected_.load(std::memory_order_relaxed);
-    }
-
-    std::uint64_t
-    delivered() const
-    {
-        return delivered_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t injected() const { return injected_; }
+    std::uint64_t delivered() const { return delivered_; }
 
     /**
      * Quiesce check: with the run complete every injected message must
@@ -124,9 +110,9 @@ class Checks
 
     NodeId numNodes_ = 0;
     bool pairFifo_ = false;
-    std::atomic<std::uint64_t> injected_{0};
-    std::atomic<std::uint64_t> delivered_{0};
-    /** Next expected netSeq per (src, dst); single writer (dst shard). */
+    std::uint64_t injected_ = 0;
+    std::uint64_t delivered_ = 0;
+    /** Next expected netSeq per (src, dst). */
     std::vector<std::uint32_t> nextSeq_;
 };
 

@@ -86,17 +86,12 @@ parseFaultSpec(const std::string &spec)
         FaultKind k;
         if (kind == "link-stall")
             k = FaultKind::LinkStall;
-        else if (kind == "spill-storm")
-            k = FaultKind::SpillStorm;
         else if (kind == "cal-overflow")
             k = FaultKind::CalendarOverflow;
-        else if (kind == "barrier-wedge")
-            k = FaultKind::BarrierWedge;
         else
             throw std::invalid_argument(
                 "LTP_FAULT: unknown fault kind \"" + kind +
-                "\" (know link-stall, spill-storm, cal-overflow, "
-                "barrier-wedge)");
+                "\" (know link-stall, cal-overflow)");
         plan.mask |= faultBit(k);
 
         for (const std::string &kv : split(opts, ',')) {
@@ -125,15 +120,6 @@ parseFaultSpec(const std::string &spec)
                 if (known)
                     plan.calOverflowPeriod =
                         parseU64(kind + ":period", val, false);
-            } else if (k == FaultKind::BarrierWedge) {
-                known = true;
-                if (key == "round")
-                    plan.wedgeRound = parseU64(kind + ":round", val, true);
-                else if (key == "shard")
-                    plan.wedgeShard =
-                        unsigned(parseU64(kind + ":shard", val, true));
-                else
-                    known = false;
             }
             if (!known) {
                 throw std::invalid_argument("LTP_FAULT: " + kind +

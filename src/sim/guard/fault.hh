@@ -7,8 +7,8 @@
  * mutable stream. The call site owns its counter (one per physical
  * link, per event queue, ...), and the simulation itself is
  * bit-deterministic, so each site sees the identical decision sequence
- * for every simThreads value — fault-injected runs stay shard-count
- * invariant exactly like fault-free ones.
+ * on every rerun — fault-injected runs are reproducible exactly like
+ * fault-free ones.
  *
  * Spec grammar (semicolon-separated faults, comma-separated keys):
  *
@@ -18,20 +18,12 @@
  *       At each link grant, with probability p, stretch the message's
  *       serialization by 1..extra extra ticks. Perturbs *virtual* time
  *       deterministically (results differ from fault-free runs but are
- *       identical across shard counts and reruns).
- *   spill-storm
- *       Every cross-shard mailbox post takes the FIFO spill path as if
- *       the SPSC ring were full. Host-side stress only — results are
- *       byte-identical to fault-free runs.
+ *       identical across reruns).
  *   cal-overflow[:period=1]
  *       Every period-th scheduled event is forced onto the calendar
  *       queue's far-future overflow heap and must migrate back into the
  *       bucket ring before it can fire. Host-side stress only — results
  *       are byte-identical to fault-free runs.
- *   barrier-wedge[:round=10,shard=1]
- *       The given shard wedges (stops arriving at the WindowBarrier)
- *       at the given window round until the run is aborted. Requires
- *       >= 2 shards; used to prove the watchdog fires.
  *
  * Faults is a process-wide singleton armed per run by DsmSystem (like
  * obs::Tracer); the disarmed fast path is one relaxed atomic load.
@@ -54,9 +46,7 @@ namespace guard
 enum class FaultKind : std::uint8_t
 {
     LinkStall,
-    SpillStorm,
     CalendarOverflow,
-    BarrierWedge,
     NumKinds,
 };
 
@@ -78,10 +68,6 @@ struct FaultPlan
 
     // cal-overflow
     std::uint64_t calOverflowPeriod = 1; //!< force every Nth schedule
-
-    // barrier-wedge
-    std::uint64_t wedgeRound = 10; //!< window round to wedge at
-    unsigned wedgeShard = 1;       //!< shard that wedges
 
     bool on(FaultKind k) const { return mask & faultBit(k); }
 };
@@ -128,13 +114,6 @@ class Faults
     {
         return plan_.calOverflowPeriod <= 1 ||
                counter % plan_.calOverflowPeriod == 0;
-    }
-
-    /** barrier-wedge decision for @p shard entering window @p round. */
-    bool
-    wedgeHit(unsigned shard, std::uint64_t round) const
-    {
-        return shard == plan_.wedgeShard && round >= plan_.wedgeRound;
     }
 
   private:

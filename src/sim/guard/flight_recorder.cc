@@ -118,32 +118,18 @@ writeDump(const char *reason, int sig)
         gCtx.events ? (unsigned long long)gCtx.events() : 0;
     fdPrintf(fd,
              "  \"tick\": %llu,\n  \"events\": %llu,\n"
-             "  \"shards\": %u,\n  \"rssMb\": %llu,\n",
-             tick, events, gCtx.shards,
-             (unsigned long long)currentRssMb());
+             "  \"rssMb\": %llu,\n",
+             tick, events, (unsigned long long)currentRssMb());
 
-    if (gCtx.barrierGeneration && gCtx.barrierArrived) {
-        fdPrintf(fd,
-                 "  \"barrier\": {\"generation\": %lu, \"arrived\": %u},\n",
-                 (unsigned long)gCtx.barrierGeneration(),
-                 gCtx.barrierArrived());
-    } else {
-        fdPrintf(fd, "  \"barrier\": null,\n");
-    }
-
-    // The profile hook takes the scheduler's profile lock — fine after
-    // the workers joined, a potential deadlock on the crash path.
+    // The profile is read on the clean path only: the crash path may
+    // have interrupted the run loop mid-update.
     if (!sig && gCtx.profile) {
         obs::EngineProfile p = gCtx.profile();
         fdPrintf(fd,
                  "  \"profile\": {\"rounds\": %llu, \"windowTicks\": %llu, "
-                 "\"barrierParks\": %llu, \"barrierWaitNs\": %llu, "
-                 "\"spilledPosts\": %llu, \"overflowMigrations\": %llu},\n",
+                 "\"overflowMigrations\": %llu},\n",
                  (unsigned long long)p.rounds,
                  (unsigned long long)p.windowTicks,
-                 (unsigned long long)p.barrierParks,
-                 (unsigned long long)p.barrierWaitNs,
-                 (unsigned long long)p.spilledPosts,
                  (unsigned long long)p.overflowMigrations);
     } else {
         fdPrintf(fd, "  \"profile\": null,\n");
@@ -157,12 +143,12 @@ writeDump(const char *reason, int sig)
         escapeJson(rec.name ? rec.name : "", name, sizeof(name));
         fdPrintf(fd,
                  "%s{\"ts\": %llu, \"dur\": %llu, \"name\": \"%s\", "
-                 "\"cat\": \"%s\", \"node\": %lu, \"shard\": %u, "
+                 "\"cat\": \"%s\", \"node\": %lu, "
                  "\"span\": %s, \"a0\": %llu, \"a1\": %llu}",
                  sep, (unsigned long long)rec.ts,
                  (unsigned long long)rec.dur, name,
                  obs::catName(obs::Cat(rec.cat)), (unsigned long)rec.node,
-                 unsigned(rec.shard), rec.span ? "true" : "false",
+                 rec.span ? "true" : "false",
                  (unsigned long long)rec.a0, (unsigned long long)rec.a1);
         sep = ",\n    ";
     }

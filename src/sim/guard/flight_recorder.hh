@@ -3,18 +3,18 @@
  * Crash flight recorder (LTP_FLIGHT_RECORDER).
  *
  * Records what the engine was doing when a run died — the last-N obs
- * trace-ring records, the engine self-profile, and the window/shard
- * state — as one JSON file, on two paths:
+ * trace records, the engine self-profile, the tick and event count —
+ * as one JSON file, on two paths:
  *
  *  - Clean abort: DsmSystem calls dumpNow() after the watchdog (or a
- *    checker) aborted the run and the engine joined its workers. The
- *    buffers are quiescent, so this dump is complete and race-free.
+ *    checker) aborted the run and the engine returned. The buffers are
+ *    quiescent, so this dump is complete and race-free.
  *
  *  - Crash: arm() installs SIGSEGV/SIGBUS/SIGFPE/SIGABRT handlers (the
  *    last also catching assert()), so even a wild pointer or a failed
  *    assertion leaves a dump behind. This path is best-effort by
- *    contract: it runs on a dying process, reads the trace rings
- *    non-destructively while writers may still be mid-record, and then
+ *    contract: it runs on a dying process, reads the trace buffer
+ *    non-destructively while a record may be mid-write, and then
  *    re-raises the signal so the default disposition (core dump,
  *    nonzero exit) still happens.
  *
@@ -39,21 +39,17 @@ namespace guard
 {
 
 /**
- * How the recorder observes the run. Every hook must be safe to call
- * from another thread while shards run (atomic reads only) — the crash
- * path calls them from a signal handler on whatever thread faulted.
+ * How the recorder observes the run. The tick and event hooks must be
+ * safe to call from another thread while the run executes (atomic
+ * reads only) — the crash path calls them from a signal handler on
+ * whatever thread faulted.
  */
 struct RecorderContext
 {
     std::function<Tick()> tick;            //!< tickApprox()
     std::function<std::uint64_t()> events; //!< executedApprox()
-    /** Barrier generation word; unset on barrier-less engines. */
-    std::function<std::uint32_t()> barrierGeneration;
-    /** Barrier pending-arrival count (paired with barrierGeneration). */
-    std::function<unsigned()> barrierArrived;
-    /** Engine self-profile; clean path only (locks internally). */
+    /** Engine self-profile; clean path only. */
     std::function<obs::EngineProfile()> profile;
-    unsigned shards = 1;
 };
 
 class FlightRecorder
@@ -75,7 +71,7 @@ class FlightRecorder
 
     /**
      * Clean-path dump: write the flight-record JSON with @p reason.
-     * Call after the engine joined its workers (buffers quiescent).
+     * Call after the engine returned (buffers quiescent).
      * @return false when the recorder is disarmed or the file cannot
      * be written.
      */

@@ -42,7 +42,6 @@ guardParamsFromEnv()
         g.faultSpec = v;
     }
     g.noProgressMs = envU64("LTP_WATCHDOG_MS", 0);
-    g.barrierStallMs = envU64("LTP_BARRIER_STALL_MS", g.noProgressMs);
     g.maxWallMs = envU64("LTP_MAX_WALL_MS", 0);
     g.maxEvents = envU64("LTP_MAX_EVENTS", 0);
     g.maxRssMb = envU64("LTP_MAX_RSS_MB", 0);

@@ -21,11 +21,6 @@
  *   LTP_WATCHDOG_MS=2000        abort when neither the simulated tick
  *                               nor the retired-event count moves for
  *                               this many wall-clock ms
- *   LTP_BARRIER_STALL_MS=1000   abort when shards sit parked on the
- *                               WindowBarrier (generation frozen with
- *                               arrivals pending) for this long
- *                               (defaults to LTP_WATCHDOG_MS when that
- *                               is set and this is not)
  *   LTP_MAX_WALL_MS=60000       total wall-clock budget for the run
  *   LTP_MAX_EVENTS=1e9          retired-event budget for the run
  *   LTP_MAX_RSS_MB=4096         resident-set-size budget for the run
@@ -54,8 +49,6 @@ struct GuardParams
 
     /** No-progress wall budget in ms; 0 = detector off. */
     std::uint64_t noProgressMs = 0;
-    /** Barrier-stall wall budget in ms; 0 = detector off. */
-    std::uint64_t barrierStallMs = 0;
     /** Total wall-clock budget in ms; 0 = unlimited. */
     std::uint64_t maxWallMs = 0;
     /** Retired-event budget; 0 = unlimited. */
@@ -69,8 +62,7 @@ struct GuardParams
     bool
     watchdogEnabled() const
     {
-        return noProgressMs || barrierStallMs || maxWallMs || maxEvents ||
-               maxRssMb;
+        return noProgressMs || maxWallMs || maxEvents || maxRssMb;
     }
 
     bool checksEnabled() const { return checkMask != 0; }
@@ -87,8 +79,8 @@ struct GuardParams
 
 /**
  * GuardParams from the LTP_CHECK / LTP_FAULT / LTP_WATCHDOG_MS /
- * LTP_BARRIER_STALL_MS / LTP_MAX_WALL_MS / LTP_MAX_EVENTS /
- * LTP_MAX_RSS_MB / LTP_FLIGHT_RECORDER environment; defaults where
+ * LTP_MAX_WALL_MS / LTP_MAX_EVENTS / LTP_MAX_RSS_MB /
+ * LTP_FLIGHT_RECORDER environment; defaults where
  * unset. Throws std::invalid_argument on an unparseable category list,
  * fault spec, or budget value.
  */

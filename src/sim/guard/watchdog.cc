@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 
 #if defined(__linux__)
+#include <fcntl.h>
 #include <unistd.h>
 #endif
 
@@ -17,15 +17,26 @@ std::uint64_t
 currentRssMb()
 {
 #if defined(__linux__)
-    // statm field 2: resident pages. Cheap enough to poll.
-    std::FILE *f = std::fopen("/proc/self/statm", "r");
-    if (!f)
+    // statm field 2: resident pages. Raw open/read and a hand-rolled
+    // parse, no stdio: the crash flight recorder calls this from a
+    // signal handler, where fopen's allocation is not allowed.
+    int fd = ::open("/proc/self/statm", O_RDONLY);
+    if (fd < 0)
         return 0;
-    unsigned long long size = 0, resident = 0;
-    int n = std::fscanf(f, "%llu %llu", &size, &resident);
-    std::fclose(f);
-    if (n != 2)
+    char buf[128];
+    ssize_t n = ::read(fd, buf, sizeof(buf) - 1);
+    ::close(fd);
+    if (n <= 0)
         return 0;
+    buf[n] = '\0';
+    const char *p = buf;
+    while (*p >= '0' && *p <= '9') // field 1: total program size
+        ++p;
+    if (*p++ != ' ')
+        return 0;
+    std::uint64_t resident = 0;
+    for (; *p >= '0' && *p <= '9'; ++p)
+        resident = resident * 10 + std::uint64_t(*p - '0');
     return resident * std::uint64_t(sysconf(_SC_PAGESIZE)) / (1024 * 1024);
 #else
     return 0;
@@ -85,8 +96,7 @@ Watchdog::loop()
     // poll fast so even a short run overshoots them by at most a few
     // milliseconds' worth of events.
     std::uint64_t tightest = UINT64_MAX;
-    for (std::uint64_t b : {params_.noProgressMs, params_.barrierStallMs,
-                            params_.maxWallMs}) {
+    for (std::uint64_t b : {params_.noProgressMs, params_.maxWallMs}) {
         if (b)
             tightest = std::min(tightest, b);
     }
@@ -106,10 +116,6 @@ Watchdog::loop()
     Tick last_tick = hooks_.tick ? hooks_.tick() : 0;
     std::uint64_t last_events = hooks_.events ? hooks_.events() : 0;
     std::uint64_t progress_since = 0;
-
-    std::uint32_t last_gen =
-        hooks_.barrierGeneration ? hooks_.barrierGeneration() : 0;
-    std::uint64_t gen_since = 0;
 
     std::unique_lock<std::mutex> lk(mu_);
     for (;;) {
@@ -135,22 +141,6 @@ Watchdog::loop()
                      std::to_string(elapsed - progress_since) +
                      " ms (budget " + std::to_string(params_.noProgressMs) +
                      " ms)");
-            }
-        }
-
-        if (params_.barrierStallMs && hooks_.barrierGeneration &&
-            hooks_.barrierArrived) {
-            std::uint32_t gen = hooks_.barrierGeneration();
-            unsigned arrived = hooks_.barrierArrived();
-            if (gen != last_gen || arrived == 0) {
-                last_gen = gen;
-                gen_since = elapsed;
-            } else if (elapsed - gen_since >= params_.barrierStallMs) {
-                fire("barrier stall: " + std::to_string(arrived) +
-                     " shard(s) parked on the window barrier (generation " +
-                     std::to_string(gen) + " frozen for " +
-                     std::to_string(elapsed - gen_since) + " ms, budget " +
-                     std::to_string(params_.barrierStallMs) + " ms)");
             }
         }
 

@@ -2,22 +2,19 @@
  * @file
  * Progress watchdog + resource guards.
  *
- * A monitor thread started around SimContext::runUntil() that samples
- * only atomic mirrors (EventQueue::tickApprox()/executedApprox(), the
- * WindowBarrier generation/arrival words, /proc/self/statm) — never the
- * engine's hot members — so it is data-race-free under TSan and costs
- * the simulation nothing. It detects:
+ * A monitor thread started around the engine's run loop that samples
+ * only atomic mirrors (EventQueue::tickApprox()/executedApprox(),
+ * /proc/self/statm) — never the engine's hot members — so it is
+ * data-race-free under TSan and costs the simulation nothing. It
+ * detects:
  *
  *   - no-progress: simulated tick AND retired-event count both frozen
  *     past the wall budget (a livelock or wedge anywhere),
- *   - barrier stall: the WindowBarrier's generation frozen with
- *     arrivals pending past the stall budget (the signature of a shard
- *     that stopped arriving),
  *   - budget violations: retired events, wall-clock, or resident-set
  *     size past their caps (runaway runs).
  *
  * On the first violation it calls the abort hook exactly once — which
- * routes to SimContext::requestAbort(), stopping every shard cleanly
+ * routes to SimContext::requestAbort(), stopping the run cleanly
  * within one event — and records the structured reason for
  * RunResult::outcome. The run never hangs and never OOMs the host; a
  * sweep driver sees `aborted(<reason>)` for this run and moves on.
@@ -43,15 +40,12 @@ namespace guard
 {
 
 /** How the watchdog observes the engine. All hooks must be safe to
- *  call from the monitor thread while shards run (atomic reads only). */
+ *  call from the monitor thread while the run executes (atomic reads
+ *  only). */
 struct WatchdogHooks
 {
     std::function<Tick()> tick;                 //!< tickApprox()
     std::function<std::uint64_t()> events;      //!< executedApprox()
-    /** Barrier generation word; unset on barrier-less engines. */
-    std::function<std::uint32_t()> barrierGeneration;
-    /** Barrier pending-arrival count (paired with barrierGeneration). */
-    std::function<unsigned()> barrierArrived;
     /** Abort the run with a structured reason (requestAbort). */
     std::function<void(const std::string &)> abort;
 };

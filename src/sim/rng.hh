@@ -12,17 +12,16 @@
  *    owned by exactly one sequential consumer (a kernel's per-node
  *    ThreadCtx, a standalone bench driver). A stream whose draws
  *    interleave across nodes makes the consumption order part of the
- *    result — the exact coupling that breaks shard-count invariance.
+ *    result, so any change to event order changes every later draw.
  *
  *  - counterHash(): a *pure* function of (seed, stream coordinates...,
  *    counter). This is the shared-state-free replacement: every call
  *    site derives its own independent stream from stable model
- *    coordinates (node ids, sequence numbers), so any shard can evaluate
- *    any draw at any time and the result is still bit-identical for
- *    every simThreads value. Oblivious routing's per-(src, dst, seq,
- *    hop) coin flips and guard fault injection (sim/guard/fault.cc) both
- *    use it. The ltp-no-shared-rng lint (tools/ltp-tidy/) enforces the
- *    boundary.
+ *    coordinates (node ids, sequence numbers), so any event can evaluate
+ *    any draw at any time and get the same result. Oblivious routing's
+ *    per-(src, dst, seq, hop) coin flips and guard fault injection
+ *    (sim/guard/fault.cc) both use it. The ltp-no-shared-rng lint
+ *    (tools/ltp-tidy/) enforces the boundary.
  */
 
 #ifndef LTP_SIM_RNG_HH
@@ -48,7 +47,7 @@ splitMix64(std::uint64_t z)
  * and the stream coordinates that identify the draw (site ids, sequence
  * numbers, hop positions, ...). No shared state, no consumption order —
  * the draw for a given coordinate tuple is the same no matter which
- * shard evaluates it, or when.
+ * event evaluates it, or when.
  */
 template <typename... Rest>
 constexpr std::uint64_t

@@ -47,7 +47,7 @@ class SmallFunction
      * std::function + Tick = 72). Network events got far smaller when
      * messages started traveling as 8-byte pool handles
      * (net/message_pool.hh), which is what let this drop from 96 and
-     * with it every event slot and mailbox ring item.
+     * with it every event slot.
      */
     static constexpr std::size_t inlineSize = 72;
 

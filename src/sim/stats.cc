@@ -200,18 +200,6 @@ StatGroup::sumCountersWithPrefix(const std::string &prefix) const
 }
 
 void
-StatGroup::mergeFrom(const StatGroup &o)
-{
-    for (const auto &[name, id] : o.counters_.ids)
-        counterAt(counterId(name)).inc(o.counters_.at(id).value());
-    for (const auto &[name, id] : o.averages_.ids)
-        averageAt(averageId(name)).merge(o.averages_.at(id));
-    for (const auto &[name, h] : o.histograms_) {
-        histogram(name, h.bucketWidth(), h.numBuckets()).merge(h);
-    }
-}
-
-void
 StatGroup::dump(std::ostream &os) const
 {
     for (const auto &[name, id] : counters_.ids)

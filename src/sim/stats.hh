@@ -217,19 +217,9 @@ class StatGroup
     std::uint64_t sumCountersWithPrefix(const std::string &prefix) const;
 
     /**
-     * Fold another group into this one: counters add, averages and
-     * histograms (same shape) merge, names absent here are created.
-     * The parallel engine uses this to aggregate per-shard groups; all
-     * merged quantities are integer-valued sums, so the result is
-     * bit-identical to single-group accumulation regardless of how
-     * samples were spread over shards.
-     */
-    void mergeFrom(const StatGroup &o);
-
-    /**
      * Dump every statistic, one per line. The registries are sorted
      * maps, so the output is canonical: a name-sorted order that does
-     * not depend on registration (or shard construction) order.
+     * not depend on registration order.
      */
     void dump(std::ostream &os) const;
 

@@ -1,10 +1,6 @@
 // Ad-hoc diagnostic driver (not a test): runs one kernel and dumps stats.
 //
 //   ltp_debug [kernel] [iterScale] [nodes] [pred] [mode] [topo] [routing]
-//             [threads]
-//
-// `threads` (or LTP_SIM_THREADS) selects the parallel engine's shard
-// count; the dump is bit-identical for every value.
 //
 // Observability (all observer-only — the dump does not change):
 //   LTP_TRACE=t.json            capture a Chrome/Perfetto trace
@@ -17,8 +13,8 @@
 // observer-only too):
 //   LTP_CHECK=all               arm protocol invariant checkers
 //   LTP_FAULT=<spec>            deterministic fault injection
-//   LTP_WATCHDOG_MS / LTP_BARRIER_STALL_MS / LTP_MAX_WALL_MS /
-//   LTP_MAX_EVENTS / LTP_MAX_RSS_MB   progress/resource budgets
+//   LTP_WATCHDOG_MS / LTP_MAX_WALL_MS / LTP_MAX_EVENTS /
+//   LTP_MAX_RSS_MB              progress/resource budgets
 //   LTP_FLIGHT_RECORDER=f.json  crash/abort flight-record dump
 #include <cmath>
 #include <cstdlib>
@@ -74,10 +70,6 @@ runDebug(int argc, char **argv)
         sp.net.routing = *routing;
     }
     try {
-        if (argc > 8)
-            sp.simThreads = ltp::parseSimThreads(argv[8]);
-        else if (const char *env = std::getenv("LTP_SIM_THREADS"))
-            sp.simThreads = ltp::parseSimThreads(env);
         sp.obs = ltp::obs::obsParamsFromEnv();
         sp.guard = ltp::guard::guardParamsFromEnv();
     } catch (const std::invalid_argument &e) {
@@ -93,9 +85,6 @@ runDebug(int argc, char **argv)
     }
 
     ltp::DsmSystem sys(sp);
-    const std::string &single = sys.shardPlan().singleShardReason;
-    if (!single.empty() && sp.simThreads > 1)
-        std::cout << "# single shard: " << single << "\n";
     auto kernel = ltp::makeKernel(spec.kernel);
     ltp::RunResult r = sys.run(*kernel, cfg);
 
@@ -118,14 +107,11 @@ runDebug(int argc, char **argv)
     sys.stats().dump(std::cout);
     if (const char *prof = std::getenv("LTP_ENGINE_PROFILE");
         prof && std::string(prof) == "1") {
-        // Host-side numbers — stderr, so stdout stays byte-comparable
-        // across shard counts.
+        // Engine bookkeeping — stderr, so stdout stays the model's
+        // output.
         const auto &ep = r.engineProfile;
         std::cerr << "engineProfile: rounds=" << ep.rounds
                   << " windowTicks=" << ep.windowTicks
-                  << " barrierParks=" << ep.barrierParks
-                  << " barrierWaitNs=" << ep.barrierWaitNs
-                  << " spilledPosts=" << ep.spilledPosts
                   << " overflowMigrations=" << ep.overflowMigrations
                   << "\n";
     }

@@ -2,9 +2,8 @@
  * @file
  * Tests for simulated-thread synchronization: the magic barrier and the
  * coherent-memory spin locks (including mutual exclusion as a property
- * under contention). The mini-DSM runs on the canonical engine at one
- * and two shards, so the barrier's atomic arrival protocol is exercised
- * both on one thread and across threads.
+ * under contention). The mini-DSM runs on the windowed engine every
+ * DsmSystem run uses.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +17,7 @@
 #include "net/network.hh"
 #include "proto/cache_controller.hh"
 #include "proto/dir_controller.hh"
-#include "sim/par/parallel_scheduler.hh"
+#include "sim/windowed_scheduler.hh"
 
 namespace ltp
 {
@@ -32,24 +31,22 @@ constexpr int lockItersC = 6;
 constexpr Addr flagC = 0x3000;
 constexpr Addr fetchCtrC = 0x4000;
 
-/** Mini-DSM harness running real coroutine threads; param = shards. */
-class SyncTest : public ::testing::TestWithParam<unsigned>
+/** Mini-DSM harness running real coroutine threads. */
+class SyncTest : public ::testing::Test
 {
   protected:
     static constexpr NodeId kNodes = 8;
     static constexpr Tick kBarrierLatency = 200;
 
     SyncTest()
-        : sim_(GetParam(), kNodes,
-               std::min(networkLookahead(NetworkParams{}), kBarrierLatency)),
+        : sim_(std::min(networkLookahead(NetworkParams{}), kBarrierLatency)),
           homes_(4096, kNodes)
     {
-        mem_.setConcurrent(GetParam() > 1);
         net_ = std::make_unique<Network>(sim_, kNodes, NetworkParams{});
         sync_ = std::make_unique<SyncDomain>(sim_, kNodes, kBarrierLatency);
+        EventQueue &eq = sim_.queue();
+        StatGroup &stats = sim_.stats();
         for (NodeId n = 0; n < kNodes; ++n) {
-            EventQueue &eq = sim_.queueFor(n);
-            StatGroup &stats = sim_.shardStats(sim_.shardOf(n));
             caches_.push_back(std::make_unique<CacheController>(
                 n, eq, *net_, homes_, CacheParams{}, stats));
             dirs_.push_back(std::make_unique<DirController>(
@@ -90,7 +87,7 @@ class SyncTest : public ::testing::TestWithParam<unsigned>
             ASSERT_TRUE(t.done()) << "thread deadlocked";
     }
 
-    ParallelScheduler sim_;
+    WindowedScheduler sim_;
     HomeMap homes_;
     MemoryValues mem_;
     std::unique_ptr<Network> net_;
@@ -102,7 +99,7 @@ class SyncTest : public ::testing::TestWithParam<unsigned>
     std::vector<std::function<void()>> done_;
 };
 
-TEST_P(SyncTest, BarrierBlocksUntilAllArrive)
+TEST_F(SyncTest, BarrierBlocksUntilAllArrive)
 {
     std::vector<Tick> release_times(kNodes);
     std::vector<Task<void>> tasks;
@@ -122,7 +119,7 @@ TEST_P(SyncTest, BarrierBlocksUntilAllArrive)
     EXPECT_EQ(sync_->barriersCompleted(), 1u);
 }
 
-TEST_P(SyncTest, BarrierReusableAcrossGenerations)
+TEST_F(SyncTest, BarrierReusableAcrossGenerations)
 {
     std::vector<Task<void>> tasks;
     for (NodeId n = 0; n < kNodes; ++n) {
@@ -137,7 +134,7 @@ TEST_P(SyncTest, BarrierReusableAcrossGenerations)
     EXPECT_EQ(sync_->barriersCompleted(), 5u);
 }
 
-TEST_P(SyncTest, LockProvidesMutualExclusionProperty)
+TEST_F(SyncTest, LockProvidesMutualExclusionProperty)
 {
     // Classic critical-section interleaving check: counter incremented
     // non-atomically (separate load and store with compute between)
@@ -161,7 +158,7 @@ TEST_P(SyncTest, LockProvidesMutualExclusionProperty)
     EXPECT_EQ(mem_.load(lockAddrC), 0u) << "lock left held";
 }
 
-TEST_P(SyncTest, TestAndSetIsAtomicUnderContention)
+TEST_F(SyncTest, TestAndSetIsAtomicUnderContention)
 {
     // All nodes race one TAS; exactly one must win each round.
     std::vector<int> wins(kNodes, 0);
@@ -182,7 +179,7 @@ TEST_P(SyncTest, TestAndSetIsAtomicUnderContention)
     EXPECT_EQ(total, 1);
 }
 
-TEST_P(SyncTest, FetchAddSerializesCorrectly)
+TEST_F(SyncTest, FetchAddSerializesCorrectly)
 {
     std::vector<Task<void>> tasks;
     for (NodeId n = 0; n < kNodes; ++n) {
@@ -195,7 +192,7 @@ TEST_P(SyncTest, FetchAddSerializesCorrectly)
     EXPECT_EQ(mem_.load(fetchCtrC), std::uint64_t(kNodes) * 10);
 }
 
-TEST_P(SyncTest, MemOpsCounted)
+TEST_F(SyncTest, MemOpsCounted)
 {
     std::vector<Task<void>> tasks;
     for (NodeId n = 0; n < kNodes; ++n) {
@@ -208,8 +205,6 @@ TEST_P(SyncTest, MemOpsCounted)
     for (NodeId n = 0; n < kNodes; ++n)
         EXPECT_EQ(threads_[n]->memOps(), 2u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Shards, SyncTest, ::testing::Values(1u, 2u));
 
 } // namespace
 } // namespace ltp

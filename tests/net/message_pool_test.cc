@@ -1,8 +1,8 @@
 /**
  * @file
- * MessagePool unit tests: slot recycling, cross-shard free handoff,
- * slab growth under burst, and the Debug-build generation-tag defense
- * against stale handles (use-after-free / double-free).
+ * MessagePool unit tests: slot recycling, slab growth under burst,
+ * and the Debug-build generation-tag defense against stale handles
+ * (use-after-free / double-free).
  */
 
 #include <gtest/gtest.h>
@@ -35,61 +35,43 @@ TEST(MessagePool, DefaultHandleIsInvalid)
 
 TEST(MessagePool, AllocReadsBackAndFreeRetires)
 {
-    MessagePool pool(1);
-    MsgHandle h = pool.alloc(0, tagged(42));
+    MessagePool pool;
+    MsgHandle h = pool.alloc(tagged(42));
     ASSERT_TRUE(h.valid());
     EXPECT_EQ(pool.at(h).addr, Addr(42));
     EXPECT_EQ(pool.liveMessages(), 1u);
-    pool.free(h, 0);
+    pool.free(h);
     EXPECT_EQ(pool.liveMessages(), 0u);
 }
 
 TEST(MessagePool, FreedSlotIsRecycledUnderANewGeneration)
 {
-    MessagePool pool(1);
-    MsgHandle a = pool.alloc(0, tagged(1));
+    MessagePool pool;
+    MsgHandle a = pool.alloc(tagged(1));
     std::uint32_t slot = a.slot();
-    pool.free(a, 0);
+    pool.free(a);
 
     // LIFO recycling: the next alloc reuses the slot just freed, but
     // under a bumped generation so the two handles never alias.
-    MsgHandle b = pool.alloc(0, tagged(2));
+    MsgHandle b = pool.alloc(tagged(2));
     EXPECT_EQ(b.slot(), slot);
     EXPECT_NE(a.bits, b.bits);
     EXPECT_EQ(pool.at(b).addr, Addr(2));
-    EXPECT_EQ(pool.highWater(0), 1u) << "recycle must not grow the arena";
-    pool.free(b, 0);
-}
-
-TEST(MessagePool, CrossShardFreeReturnsSlotToOwner)
-{
-    MessagePool pool(2);
-    MsgHandle h = pool.alloc(0, tagged(7));
-    EXPECT_EQ(h.shard(), 0u);
-    // Delivery on shard 1 frees shard 0's slot via the remote stack.
-    pool.free(h, 1);
-    EXPECT_EQ(pool.liveMessages(), 0u);
-
-    // The owner's next alloc drains the remote stack instead of
-    // growing: same slot, new generation.
-    MsgHandle again = pool.alloc(0, tagged(8));
-    EXPECT_EQ(again.slot(), h.slot());
-    EXPECT_NE(again.bits, h.bits);
-    EXPECT_EQ(pool.highWater(0), 1u);
-    pool.free(again, 0);
+    EXPECT_EQ(pool.highWater(), 1u) << "recycle must not grow the arena";
+    pool.free(b);
 }
 
 TEST(MessagePool, BurstGrowsSlabsWithoutMovingLiveMessages)
 {
     constexpr int kBurst = 3000; // > 2 slabs of 1024
-    MessagePool pool(1);
+    MessagePool pool;
     std::vector<MsgHandle> live;
     live.reserve(kBurst);
     for (int i = 0; i < kBurst; ++i)
-        live.push_back(pool.alloc(0, tagged(std::uint64_t(i))));
+        live.push_back(pool.alloc(tagged(std::uint64_t(i))));
 
-    EXPECT_EQ(pool.highWater(0), unsigned(kBurst));
-    EXPECT_GE(pool.numSlabs(0), 3u);
+    EXPECT_EQ(pool.highWater(), unsigned(kBurst));
+    EXPECT_GE(pool.numSlabs(), 3u);
     EXPECT_EQ(pool.liveMessages(), std::uint64_t(kBurst));
 
     // Slab growth never relocates: every earlier message still reads
@@ -98,15 +80,15 @@ TEST(MessagePool, BurstGrowsSlabsWithoutMovingLiveMessages)
         ASSERT_EQ(pool.at(live[i]).addr, Addr(std::uint64_t(i))) << i;
 
     for (MsgHandle h : live)
-        pool.free(h, 0);
+        pool.free(h);
     EXPECT_EQ(pool.liveMessages(), 0u);
 
     // The drained arena satisfies the same burst again from recycled
     // slots — the footprint is the peak population, not the total
     // traffic.
     for (int i = 0; i < kBurst; ++i)
-        pool.alloc(0, tagged(std::uint64_t(i)));
-    EXPECT_EQ(pool.highWater(0), unsigned(kBurst));
+        pool.alloc(tagged(std::uint64_t(i)));
+    EXPECT_EQ(pool.highWater(), unsigned(kBurst));
 }
 
 #ifndef NDEBUG
@@ -114,19 +96,19 @@ using MessagePoolDeathTest = ::testing::Test;
 
 TEST(MessagePoolDeathTest, StaleHandleDereferenceTripsGenerationCheck)
 {
-    MessagePool pool(1);
-    MsgHandle h = pool.alloc(0, tagged(3));
-    pool.free(h, 0);
-    pool.alloc(0, tagged(4)); // recycles the slot under a new generation
+    MessagePool pool;
+    MsgHandle h = pool.alloc(tagged(3));
+    pool.free(h);
+    pool.alloc(tagged(4)); // recycles the slot under a new generation
     EXPECT_DEATH((void)pool.at(h), "stale message handle");
 }
 
 TEST(MessagePoolDeathTest, DoubleFreeTripsGenerationCheck)
 {
-    MessagePool pool(1);
-    MsgHandle h = pool.alloc(0, tagged(5));
-    pool.free(h, 0);
-    EXPECT_DEATH(pool.free(h, 0), "double free");
+    MessagePool pool;
+    MsgHandle h = pool.alloc(tagged(5));
+    pool.free(h);
+    EXPECT_DEATH(pool.free(h), "double free");
 }
 #endif
 

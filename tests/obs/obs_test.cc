@@ -118,15 +118,14 @@ struct ObsRun
 };
 
 /** One em3d run, Passive LTP on a 16-node mesh so every category has
- *  traffic and the engine shards for real. */
+ *  traffic. */
 ObsRun
-runEm3d(unsigned threads, const obs::ObsParams &obs_params)
+runEm3d(const obs::ObsParams &obs_params)
 {
     SystemParams sp = SystemParams::withPredictor(
         PredictorKind::LtpPerBlock, PredictorMode::Passive);
     sp.numNodes = 16;
     sp.net.topology = TopologyKind::Mesh2D;
-    sp.simThreads = threads;
     sp.obs = obs_params;
 
     DsmSystem sys(sp);
@@ -160,8 +159,8 @@ TEST(ObsEndToEnd, ObserverOnlyAndTraceHasAllCategories)
     on.metricsFile = dir + "/obs_test_metrics.jsonl";
     on.metricsIntervalTicks = 5000;
 
-    ObsRun plain = runEm3d(2, obs::ObsParams{});
-    ObsRun traced = runEm3d(2, on);
+    ObsRun plain = runEm3d(obs::ObsParams{});
+    ObsRun traced = runEm3d(on);
     ASSERT_TRUE(plain.completed);
     ASSERT_TRUE(traced.completed);
 
@@ -211,7 +210,7 @@ TEST(ObsEndToEnd, CategoryMaskRestrictsTraceOutput)
     on.traceFile = dir + "/obs_test_linkonly.json";
     on.tracerCategories = obs::catBit(obs::Cat::Link);
 
-    ObsRun traced = runEm3d(1, on);
+    ObsRun traced = runEm3d(on);
     ASSERT_TRUE(traced.completed);
     std::string trace = slurp(on.traceFile);
     EXPECT_NE(trace.find("\"cat\":\"link\""), std::string::npos);

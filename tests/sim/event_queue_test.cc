@@ -358,9 +358,8 @@ TEST(EventQueueChannel, FifoWithinOneChannel)
 TEST(EventQueueChannel, LocalsRunBeforeSameRoundChannelPosts)
 {
     // A round's scheduleAt() events precede its channel posts at the
-    // same tick even when the posts were scheduled first — this is the
-    // staged engine's barrier boundary: posts of round r are merged
-    // after round r has fully executed.
+    // same tick even when the posts were scheduled first: posts of
+    // round r are merged after round r has fully executed.
     EventQueue eq;
     std::vector<int> order;
     eq.scheduleAtChannel(10, 1, [&] { order.push_back(100); });
@@ -375,8 +374,7 @@ TEST(EventQueueChannel, BeginRoundSeparatesPostBatches)
 {
     // Round r's posts execute before round r+1's locals AND before
     // round r+1's posts at the same tick, whatever the channel ids —
-    // the round boundary dominates the channel tie-break, exactly like
-    // successive barrier merges in the staged engine.
+    // the round boundary dominates the channel tie-break.
     EventQueue eq;
     std::vector<int> order;
     eq.beginRound(); // round 1
@@ -424,10 +422,10 @@ TEST(EventQueueChannel, OverflowMigrationKeepsChannelOrder)
     EXPECT_EQ(eq.now(), far);
 }
 
-TEST(EventQueueChannel, RunWindowedDrivesRoundsLikeTheStagedEngine)
+TEST(EventQueueChannel, RunWindowedDrivesRounds)
 {
-    // runWindowed(limit, L) must (a) open a round per conservative
-    // window [W, W + L), (b) execute posts of round r after round r's
+    // runWindowed(limit, L) must (a) open a round per window
+    // [W, W + L), (b) execute posts of round r after round r's
     // locals and before round r+1's locals, and (c) reach the same
     // final tick as a plain run.
     EventQueue eq;

@@ -2,9 +2,8 @@
  * @file
  * Unit tests for the guard subsystem (src/sim/guard/): spec/env
  * parsing, the counter-based fault RNG, the invariant-checker
- * switchboard, the progress watchdog's detectors, WindowBarrier
- * teardown, SPSC-ring destruction with unconsumed entries, and the
- * crash flight recorder (clean and signal paths).
+ * switchboard, the progress watchdog's detectors, and the crash
+ * flight recorder (clean and signal paths).
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -24,8 +23,6 @@
 #include "sim/guard/flight_recorder.hh"
 #include "sim/guard/guard_params.hh"
 #include "sim/guard/watchdog.hh"
-#include "sim/par/spsc_ring.hh"
-#include "sim/par/window_barrier.hh"
 
 namespace ltp
 {
@@ -70,8 +67,6 @@ TEST(GuardParams, FromEnvParsesEveryKnob)
                                obs::catBit(obs::Cat::Link));
     EXPECT_EQ(p.faultSpec, "cal-overflow:period=3");
     EXPECT_EQ(p.noProgressMs, 2000u);
-    // Defaults to LTP_WATCHDOG_MS when unset.
-    EXPECT_EQ(p.barrierStallMs, 2000u);
     EXPECT_EQ(p.maxWallMs, 60000u);
     EXPECT_EQ(p.maxEvents, 123456u);
     EXPECT_EQ(p.maxRssMb, 4096u);
@@ -100,23 +95,28 @@ TEST(GuardParams, FromEnvRejectsBadValues)
 TEST(FaultSpec, ParsesKindsAndKeys)
 {
     guard::FaultPlan p = guard::parseFaultSpec(
-        "link-stall:p=0.5,extra=8,seed=7;barrier-wedge:round=3,shard=2");
+        "link-stall:p=0.5,extra=8,seed=7;cal-overflow:period=4");
     EXPECT_TRUE(p.on(guard::FaultKind::LinkStall));
-    EXPECT_TRUE(p.on(guard::FaultKind::BarrierWedge));
-    EXPECT_FALSE(p.on(guard::FaultKind::SpillStorm));
+    EXPECT_TRUE(p.on(guard::FaultKind::CalendarOverflow));
     EXPECT_DOUBLE_EQ(p.linkStallP, 0.5);
     EXPECT_EQ(p.linkStallExtra, 8u);
     EXPECT_EQ(p.linkStallSeed, 7u);
-    EXPECT_EQ(p.wedgeRound, 3u);
-    EXPECT_EQ(p.wedgeShard, 2u);
+    EXPECT_EQ(p.calOverflowPeriod, 4u);
 
-    guard::FaultPlan q = guard::parseFaultSpec("spill-storm");
-    EXPECT_TRUE(q.on(guard::FaultKind::SpillStorm));
+    guard::FaultPlan q = guard::parseFaultSpec("cal-overflow");
+    EXPECT_TRUE(q.on(guard::FaultKind::CalendarOverflow));
+    EXPECT_FALSE(q.on(guard::FaultKind::LinkStall));
 }
 
 TEST(FaultSpec, RejectsUnknownTokens)
 {
     EXPECT_THROW(guard::parseFaultSpec("nope"), std::invalid_argument);
+    // The engine runs one queue: there is no barrier or mailbox to
+    // wedge or flood.
+    EXPECT_THROW(guard::parseFaultSpec("barrier-wedge"),
+                 std::invalid_argument);
+    EXPECT_THROW(guard::parseFaultSpec("spill-storm"),
+                 std::invalid_argument);
     EXPECT_THROW(guard::parseFaultSpec("link-stall:zap=1"),
                  std::invalid_argument);
     EXPECT_THROW(guard::parseFaultSpec("link-stall:p=monkeys"),
@@ -301,71 +301,6 @@ TEST(Watchdog, DisabledParamsStartNoThread)
     EXPECT_EQ(probe.aborts.load(), 0);
 }
 
-// ---- WindowBarrier teardown ------------------------------------------
-
-TEST(WindowBarrierAbort, ReleasesAParkedWaiter)
-{
-    WindowBarrier barrier(2);
-    std::atomic<bool> returned{false};
-
-    // With only one arrival the waiter spins, then futex-parks: the
-    // exact wedge signature the watchdog detects.
-    std::thread waiter([&] {
-        barrier.arriveAndWait();
-        returned.store(true);
-    });
-
-    // Give it time to reach the parked state.
-    while (barrier.arrivedCount() == 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_FALSE(returned.load());
-
-    barrier.abort();
-    waiter.join();
-    EXPECT_TRUE(returned.load());
-    EXPECT_TRUE(barrier.aborted());
-
-    // Post-abort arrivals fall straight through, forever.
-    bool completion_ran = false;
-    barrier.arriveAndWait([&] { completion_ran = true; });
-    EXPECT_FALSE(completion_ran);
-}
-
-// ---- SpscRing teardown and raw inspection ----------------------------
-
-TEST(SpscRingGuard, DestructionReleasesUnconsumedEntries)
-{
-    auto payload = std::make_shared<int>(7);
-    {
-        SpscRing<std::shared_ptr<int>, 8> ring;
-        for (int i = 0; i < 5; ++i)
-            EXPECT_TRUE(ring.tryPush(std::shared_ptr<int>(payload)));
-        std::shared_ptr<int> out;
-        EXPECT_TRUE(ring.tryPop(out));
-        EXPECT_EQ(*out, 7);
-        // 4 entries (plus `out`) still alive when the ring dies.
-        EXPECT_EQ(payload.use_count(), 1 + 4 + 1);
-    }
-    EXPECT_EQ(payload.use_count(), 1)
-        << "ring destruction must release unconsumed entries";
-}
-
-TEST(SpscRingGuard, RawSlotsExposeUnconsumedRecords)
-{
-    SpscRing<int, 8> ring;
-    EXPECT_EQ(ring.rawTail(), 0u);
-    EXPECT_EQ(ring.rawSlot(0), nullptr) << "no storage before first push";
-    for (int i = 0; i < 6; ++i)
-        EXPECT_TRUE(ring.tryPush(int(i)));
-    ASSERT_EQ(ring.rawTail(), 6u);
-    for (std::size_t seq = 0; seq < 6; ++seq) {
-        const int *slot = ring.rawSlot(seq);
-        ASSERT_NE(slot, nullptr);
-        EXPECT_EQ(*slot, int(seq));
-    }
-}
-
 // ---- flight recorder -------------------------------------------------
 
 std::string
@@ -392,7 +327,6 @@ TEST(FlightRecorder, CleanPathDumpCarriesContext)
     guard::RecorderContext ctx;
     ctx.tick = [] { return Tick(1234); };
     ctx.events = [] { return std::uint64_t(5678); };
-    ctx.shards = 3;
     guard::FlightRecorder &fr = guard::FlightRecorder::instance();
     fr.arm(path, std::move(ctx));
     EXPECT_TRUE(fr.armed());
@@ -406,7 +340,6 @@ TEST(FlightRecorder, CleanPathDumpCarriesContext)
         << dump;
     EXPECT_NE(dump.find("\"tick\": 1234"), std::string::npos);
     EXPECT_NE(dump.find("\"events\": 5678"), std::string::npos);
-    EXPECT_NE(dump.find("\"shards\": 3"), std::string::npos);
     EXPECT_NE(dump.find("\"signal\": null"), std::string::npos);
     std::remove(path.c_str());
 }

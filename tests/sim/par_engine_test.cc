@@ -1,19 +1,20 @@
-/** @file Unit tests for the parallel-engine building blocks. */
+/**
+ * @file
+ * Unit tests for the engine's window and post order: the lookahead the
+ * window width is derived from (it pins the round length the keyed
+ * same-tick order depends on) and WindowedScheduler's (tick, channel)
+ * post order.
+ */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <functional>
-#include <stdexcept>
-#include <thread>
 #include <vector>
 
+#include "dsm/system.hh"
 #include "net/topo/interconnect.hh"
 #include "sim/event_queue.hh"
-#include "sim/par/lookahead.hh"
-#include "sim/par/parallel_scheduler.hh"
-#include "sim/par/sim_context.hh"
-#include "sim/par/window_barrier.hh"
+#include "sim/windowed_scheduler.hh"
 
 namespace ltp
 {
@@ -44,68 +45,6 @@ TEST(EventQueuePeek, NextEventTickSeesEarliestLiveEvent)
     EXPECT_EQ(eq.nextEventTick(), eq.now() + 1'000'000);
 }
 
-TEST(EventQueueWindows, WindowBarrierDrainKeepsFifoWithinTick)
-{
-    // Drive the queue the way the parallel engine does — runUntil() a
-    // window end, apply a sorted batch of cross-shard arrivals, run the
-    // next window — and check that events of one tick still execute in
-    // insertion order (FIFO within tick), with batch arrivals appended
-    // in their canonical order.
-    EventQueue eq;
-    std::vector<int> order;
-
-    // Window 1 local events, two of them on the same tick.
-    eq.scheduleAt(5, [&] { order.push_back(1); });
-    eq.scheduleAt(5, [&] { order.push_back(2); });
-    // A local event already sitting at the collision tick 100.
-    eq.scheduleAt(100, [&] { order.push_back(3); });
-    eq.runUntil(80); // window [0, 80]
-
-    // Barrier: apply the inbox for tick 100 in canonical channel order.
-    eq.scheduleAt(100, [&] { order.push_back(4); });
-    eq.scheduleAt(100, [&] { order.push_back(5); });
-    eq.runUntil(180); // window [81, 180]
-
-    // A later round posts to the same tick region first-in-first-out.
-    eq.scheduleAt(200, [&] { order.push_back(6); });
-    eq.scheduleAt(200, [&] { order.push_back(7); });
-    eq.run();
-
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
-    EXPECT_EQ(eq.now(), 200u);
-}
-
-TEST(WindowBarrierTest, CompletionRunsOnceAndReleasesAll)
-{
-    constexpr unsigned kThreads = 4;
-    constexpr int kRounds = 200;
-    WindowBarrier barrier(kThreads);
-    std::atomic<int> completions{0};
-    std::atomic<int> inWindow{0};
-    std::atomic<bool> overlap{false};
-
-    auto worker = [&] {
-        for (int r = 0; r < kRounds; ++r) {
-            inWindow.fetch_add(1);
-            barrier.arriveAndWait([&] {
-                // The completer runs alone with everyone parked.
-                if (inWindow.load() != kThreads)
-                    overlap.store(true);
-                inWindow.store(0);
-                completions.fetch_add(1);
-            });
-        }
-    };
-    std::vector<std::thread> threads;
-    for (unsigned i = 0; i < kThreads; ++i)
-        threads.emplace_back(worker);
-    for (auto &t : threads)
-        t.join();
-
-    EXPECT_EQ(completions.load(), kRounds);
-    EXPECT_FALSE(overlap.load());
-}
-
 TEST(Lookahead, PointToPointWindowIsFlightPlusOccupancy)
 {
     NetworkParams net; // defaults: flight 80, control 4, data 12
@@ -124,7 +63,7 @@ TEST(Lookahead, RoutedWindowIsSerializationPlusHopPlusRouter)
     EXPECT_EQ(networkLookahead(net), 68u);
 }
 
-TEST(Lookahead, ObliviousRoutingShardsLikeAnyRoutedPolicy)
+TEST(Lookahead, ObliviousRoutingHasTheRoutedLookahead)
 {
     // Oblivious coin flips are pure counter-based hashes (no shared
     // RNG), so the policy exports the ordinary routed lookahead.
@@ -134,109 +73,62 @@ TEST(Lookahead, ObliviousRoutingShardsLikeAnyRoutedPolicy)
     EXPECT_EQ(networkLookahead(net), 80u);
 }
 
-TEST(Lookahead, ShardPlanClampsAndRejectsZeroLookahead)
+TEST(Lookahead, EngineWindowIsLookaheadClampedByBarrierLatency)
 {
-    LookaheadInputs in;
-    in.requestedThreads = 8;
-    in.numNodes = 4;
-    in.netLookahead = 84;
-    in.barrierLatency = 200;
+    // Paper defaults: p2p lookahead 84 < barrierLatency 200.
+    SystemParams sp;
+    EXPECT_EQ(DsmSystem(sp).simContext().window(), 84u);
 
-    ShardPlan plan = resolveShardPlan(in);
-    EXPECT_EQ(plan.shards, 4u); // clamped to the node count
-    EXPECT_EQ(plan.window, 84u);
-    EXPECT_TRUE(plan.singleShardReason.empty());
-
-    // One requested thread runs the same engine on one shard (that is
-    // the S = 1 anchor of the bit-identity guarantee).
-    in.requestedThreads = 1;
-    plan = resolveShardPlan(in);
-    EXPECT_EQ(plan.shards, 1u);
-    EXPECT_EQ(plan.window, 84u);
+    // Routed mesh: the one-hop latency, 80.
+    SystemParams mesh = SystemParams::withTopology(TopologyKind::Mesh2D, 16);
+    EXPECT_EQ(DsmSystem(mesh).simContext().window(), 80u);
 
     // The barrier release path bounds the window.
-    in.requestedThreads = 4;
-    in.barrierLatency = 50;
-    plan = resolveShardPlan(in);
-    EXPECT_EQ(plan.window, 50u);
-
-    // No lookahead is an error, not a cue to switch engines.
-    in.barrierLatency = 0;
-    EXPECT_THROW(resolveShardPlan(in), std::invalid_argument);
-    in.barrierLatency = 200;
-    in.netLookahead = 0;
-    EXPECT_THROW(resolveShardPlan(in), std::invalid_argument);
+    sp.barrierLatency = 50;
+    EXPECT_EQ(DsmSystem(sp).simContext().window(), 50u);
 }
 
-TEST(ParallelSchedulerTest, OneShardUsesDirectDispatch)
+TEST(WindowedSchedulerTest, PostsAtOneTickRunInChannelOrder)
 {
-    ParallelScheduler one(1, 4, /*window=*/10);
-    EXPECT_TRUE(one.directDispatch());
-    ParallelScheduler two(2, 4, /*window=*/10);
-    EXPECT_FALSE(two.directDispatch());
+    // One round posts far more events than any FIFO batch, in
+    // descending channel order; they must run in ascending channel
+    // order, nothing lost.
+    constexpr int kPosts = 700;
+    WindowedScheduler sched(/*window=*/10);
+    std::vector<int> log;
+    sched.queue().scheduleAt(0, [&] {
+        for (int i = kPosts - 1; i >= 0; --i) {
+            sched.post(10, std::uint64_t(i),
+                       [&log, i] { log.push_back(i); });
+        }
+    });
+    sched.runUntil(1000);
+    ASSERT_EQ(log.size(), std::size_t(kPosts));
+    for (int i = 0; i < kPosts; ++i)
+        EXPECT_EQ(log[i], i);
 }
 
-TEST(ParallelSchedulerTest, MailboxSpillKeepsCanonicalOrder)
+TEST(WindowedSchedulerTest, SameTickPostsOrderByChannelNotCreation)
 {
-    // Blast one round with far more posts than a lane's ring capacity
-    // (256): the overflow spills to the lane's vector and the barrier
-    // merge must still apply everything, in (tick, channel) order, with
-    // nothing lost. Run the same storm at 1 and 2 shards and compare.
-    auto run = [](unsigned shards) {
-        constexpr int kPosts = 700;
-        ParallelScheduler sched(shards, 2, /*window=*/10);
-        std::vector<int> log; // only ever touched on node 1's shard
-        sched.queueFor(0).scheduleAt(0, [&] {
-            // Descending channel ids: canonical order must ascend.
-            for (int i = kPosts - 1; i >= 0; --i) {
-                sched.post(1, 10, std::uint64_t(i),
-                           [&log, i] { log.push_back(i); });
-            }
+    // Posts with exactly the window's lookahead, every round; channels
+    // picked so the canonical same-tick order (chan 1 before 2)
+    // differs from the creation order.
+    WindowedScheduler sched(/*window=*/10);
+    std::vector<int> log;
+    std::function<void(int, Tick)> ping = [&](int depth, Tick now) {
+        if (depth >= 3)
+            return;
+        sched.post(now + 10, /*chan=*/2, [&, depth, now] {
+            log.push_back(100 + depth);
+            ping(depth + 1, now + 10);
         });
-        sched.runUntil(1000);
-        return log;
+        sched.post(now + 10, /*chan=*/1,
+                   [&, depth] { log.push_back(200 + depth); });
     };
-
-    auto one = run(1);
-    auto two = run(2);
-    ASSERT_EQ(one.size(), 700u);
-    for (int i = 0; i < 700; ++i)
-        EXPECT_EQ(one[i], i);
-    EXPECT_EQ(one, two);
-}
-
-TEST(ParallelSchedulerTest, CanonicalMergeOrderIsShardCountInvariant)
-{
-    // Two "nodes" post to each other every window; the observed
-    // per-node receive sequence must not depend on the shard count.
-    auto run = [](unsigned shards) {
-        ParallelScheduler sched(shards, 2, /*window=*/10);
-        std::vector<int> log; // only ever touched on node 1's shard
-        // Cross-posts with exactly the window's lookahead; channels
-        // picked so the canonical same-tick order (chan 1 before 2)
-        // differs from the creation order.
-        std::function<void(int, Tick)> ping = [&](int depth, Tick now) {
-            if (depth >= 3)
-                return;
-            sched.post(1, now + 10, /*chan=*/2, [&, depth, now] {
-                log.push_back(100 + depth);
-                ping(depth + 1, now + 10);
-            });
-            sched.post(1, now + 10, /*chan=*/1,
-                       [&, depth] { log.push_back(200 + depth); });
-        };
-        sched.queueFor(0).scheduleAt(0, [&] { ping(0, 0); });
-        sched.runUntil(1000);
-        return log;
-    };
-
-    auto one = run(1);
-    auto two = run(2);
-    EXPECT_EQ(one, two);
-    ASSERT_GE(one.size(), 2u);
-    // Canonical order: channel 1 before channel 2 at the same tick.
-    EXPECT_EQ(one[0], 200);
-    EXPECT_EQ(one[1], 100);
+    sched.queue().scheduleAt(0, [&] { ping(0, 0); });
+    sched.runUntil(1000);
+    EXPECT_EQ(log, (std::vector<int>{200, 100, 201, 101, 202, 102}));
+    EXPECT_EQ(sched.profile().rounds, 4u);
 }
 
 } // namespace

@@ -246,10 +246,9 @@ TEST(StatGroup, CounterPrefixQueries)
 
 TEST(StatGroup, DumpOrderIsCanonicalNotInsertionOrder)
 {
-    // The parallel engine constructs shards (and therefore registers
-    // stats) in an order that depends on the shard count; the dump must
-    // not care. Register the same stats in two different orders and
-    // demand byte-identical output.
+    // Components register their stats in construction order; the dump
+    // must not care. Register the same stats in two different orders
+    // and demand byte-identical output.
     StatGroup forward;
     forward.counter("a.first").inc(1);
     forward.counter("z.last").inc(2);
@@ -276,47 +275,6 @@ TEST(StatGroup, DumpOrderIsCanonicalNotInsertionOrder)
     EXPECT_LT(s.find("a.first"), s.find("z.last"));
     EXPECT_LT(s.find("b.early"), s.find("m.mid"));
     EXPECT_LT(s.find("c.two"), s.find("h.one"));
-}
-
-TEST(StatGroup, MergeFromMatchesSingleGroupAccumulation)
-{
-    // Spreading samples over two groups and merging must dump the same
-    // bytes as accumulating into one group — the property that makes
-    // per-shard statistics invisible in the output.
-    StatGroup whole;
-    StatGroup part_a, part_b;
-
-    whole.counter("c").inc(7);
-    part_a.counter("c").inc(3);
-    part_b.counter("c").inc(4);
-
-    for (int v : {10, 400, 30}) {
-        whole.average("avg").sample(v);
-        whole.histogram("hist", 16.0, 8).sample(v);
-    }
-    part_a.average("avg").sample(10);
-    part_a.histogram("hist", 16.0, 8).sample(10);
-    for (int v : {400, 30}) {
-        part_b.average("avg").sample(v);
-        part_b.histogram("hist", 16.0, 8).sample(v);
-    }
-    // A name only one shard ever touched.
-    part_b.counter("only.b").inc(9);
-    whole.counter("only.b").inc(9);
-
-    StatGroup merged;
-    merged.mergeFrom(part_a);
-    merged.mergeFrom(part_b);
-
-    std::ostringstream want, got;
-    whole.dump(want);
-    merged.dump(got);
-    EXPECT_EQ(want.str(), got.str());
-    EXPECT_EQ(merged.counterValue("c"), 7u);
-    EXPECT_DOUBLE_EQ(merged.averageMean("avg"),
-                     whole.averageMean("avg"));
-    ASSERT_NE(merged.findHistogram("hist"), nullptr);
-    EXPECT_EQ(merged.findHistogram("hist")->totalSamples(), 3u);
 }
 
 TEST(Histogram, MergeFromEmptySourceIsIdentity)

@@ -10,9 +10,9 @@
  *    the address),
  *  - std::hash<T*> and pointer-to-integer casts (the hashing idiom).
  *
- * Heap addresses differ run to run (ASLR, allocation history) and
- * shard to shard, so any container order, tie-break, or hash derived
- * from one silently breaks the byte-identical-dump contract.
+ * Heap addresses differ run to run (ASLR, allocation history), so any
+ * container order, tie-break, or hash derived from one silently breaks
+ * the byte-identical-dump contract.
  *
  * Sanctioned idiom: key and order on stable model identifiers (NodeId,
  * block address, sequence number) — every model object already has

@@ -11,7 +11,7 @@
  *
  * Sanctioned idioms:
  *  - ltp::counterHash(seed, coords..., counter) (sim/rng.hh): a pure
- *    draw per stable model coordinate tuple — shard-order free.
+ *    draw per stable model coordinate tuple — order free.
  *  - a *local* ltp::Rng owned by one sequential consumer (kernel setup
  *    loops, bench drivers); per-node streams owned by a ThreadCtx are
  *    recorded in tools/tidy_baseline.json with their justification.

@@ -6,7 +6,7 @@
  * code. Their iteration order depends on hash seeding, bucket counts,
  * and allocation history — any stats dump, message emission, or
  * scheduling decision derived from iterating one differs run to run
- * and shard to shard.
+ * and machine to machine.
  *
  * Sanctioned idiom: ltp::FlatMap / ltp::FlatSet (sim/flat_map.hh) —
  * open addressing with deterministic iteration — or std::map/std::set

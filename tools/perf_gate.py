@@ -15,21 +15,11 @@ Every cell must appear in both files: a cell missing from the fresh run
 (kernel removed) or present only in the fresh run (kernel added without
 refreshing the committed baseline) fails the gate.
 
-Multi-thread cells of the `parallel` section (configs matching
-"...-tN" with N > 1) are reported but exempt from the ratio gates:
-their throughput depends on the runner's core count, which the
-committed trajectory cannot pin. bench_perf additionally stamps such
-rows with "oversubscribed": true when they ran with more worker
-threads than the machine has cores — flagged in the table, since those
-wall clocks measure scheduler thrash, not engine speed. The "-t1"
-cells ARE gated — they are the sequential baseline the parallel engine
-must not regress.
-
 Besides the pass/fail verdict, the gate prints a per-cell delta table
 (events/sec old -> new, %) and, when running under GitHub Actions
 (GITHUB_STEP_SUMMARY set), appends the same table as markdown to the
 job summary so a PR's perf movement is visible without opening logs.
-Both outputs also carry one geomean row per gated *config* ("base",
+Both outputs also carry one geomean row per *config* ("base",
 "ltp-active", "mesh64-t1"): a change that only moves the routed-mesh
 cells (or only the p2p cells) is visible as such instead of being
 averaged into the overall number.
@@ -40,21 +30,11 @@ import difflib
 import json
 import math
 import os
-import re
 import sys
 
-# "mesh64-t4" -> exempt; "mesh64-t1" and plain configs -> gated.
-MULTI_THREAD_CONFIG = re.compile(r"-t(\d+)$")
-
 # Every run row must carry these to be comparable. Extra keys (the
-# engine self-profile bench_perf stamps, "oversubscribed", ...) are
-# fine and ignored.
+# engine self-profile bench_perf stamps, ...) are fine and ignored.
 REQUIRED_KEYS = ("kernel", "config", "completed", "eventsPerSec")
-
-
-def gated(config):
-    m = MULTI_THREAD_CONFIG.search(config)
-    return m is None or int(m.group(1)) <= 1
 
 
 def load_runs(path):
@@ -133,7 +113,7 @@ def write_github_summary(rows, geomean, config_means, limit, failures):
                     f"*{100.0 * (mean - 1.0):+.1f}%* | {n} cells |\n")
         if geomean is not None:
             verdict = "PASS" if not failures else "FAIL"
-            f.write(f"\n**geomean ratio (gated cells): {geomean:.3f}** "
+            f.write(f"\n**geomean ratio: {geomean:.3f}** "
                     f"(limit {limit:.3f}) — **{verdict}**\n")
         for failure in failures:
             f.write(f"- :x: {failure}\n")
@@ -164,7 +144,7 @@ def main():
         failures.append(msg)
 
     ratios = []
-    ratios_by_config = {}  # gated config -> [ratio...]
+    ratios_by_config = {}  # config -> [ratio...]
     rows = []  # (kernel, config, base ev/s, fresh ev/s, note)
     print(f"{'kernel':<14}{'config':<12}{'base ev/s':>14}"
           f"{'fresh ev/s':>14}{'ratio':>8}{'delta':>9}")
@@ -186,16 +166,6 @@ def main():
             continue
         ratio = f["eventsPerSec"] / b["eventsPerSec"]
         delta = f"{100.0 * (ratio - 1.0):+8.1f}%"
-        if not gated(config):
-            note = "not gated"
-            if f.get("oversubscribed"):
-                note += ", oversubscribed"
-            print(f"{kernel:<14}{config:<12}{b['eventsPerSec']:>14.0f}"
-                  f"{f['eventsPerSec']:>14.0f}{ratio:>8.3f}{delta}"
-                  f"  ({note})")
-            rows.append((kernel, config, b["eventsPerSec"],
-                         f["eventsPerSec"], note))
-            continue
         ratios.append(ratio)
         ratios_by_config.setdefault(config, []).append(ratio)
         flag = "" if ratio >= cell_floor else "  << REGRESSION"

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Determinism lint driver: the ltp-tidy checks over the tree.
 
-The simulator's headline contract — stats dumps byte-identical for
-every simThreads value — is enforced at compile time by five project
-clang-tidy checks (tools/ltp-tidy/):
+The simulator's headline contract — stats dumps byte-identical on
+every rerun and every machine — is enforced at compile time by five
+project clang-tidy checks (tools/ltp-tidy/):
 
     ltp-no-wallclock            model code runs on virtual time only
     ltp-no-shared-rng           counter-based draws, no shared streams

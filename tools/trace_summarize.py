@@ -7,24 +7,20 @@ numbers without leaving the shell:
   - per-category event counts (spans vs instants, total span ticks),
   - per-link utilization (the routed network's "grant" spans: busy
     ticks on each directed link over the traced interval),
-  - engine barrier-wait per shard ("barrier park" instants stamp the
-    park's wall-clock wait in a0),
   - optionally, a compact overview of an LTP_METRICS JSONL stream.
 
     $ python3 tools/trace_summarize.py trace.json [--metrics m.jsonl]
               [--top N]
 
 Stdlib only. Expects the schema src/obs/trace.cc writes: "X" spans and
-"i" instants with pid=node (engine events: pid=1000000+shard), tid=
-shard, args {a0, a1}; link grants carry the destination node in a0.
+"i" instants with pid=node (engine events: pid=1000000), tid=0, args
+{a0, a1}; link grants carry the destination node in a0.
 """
 
 import argparse
 import collections
 import json
 import sys
-
-ENGINE_PID_BASE = 1_000_000
 
 
 def fmt_table(headers, rows):
@@ -110,29 +106,6 @@ def link_table(events, top):
                                      "util"], rows)
 
 
-def barrier_table(events):
-    """Wall-clock barrier wait per engine shard (a0 = ns per park)."""
-    parks = [e for e in events
-             if e.get("cat") == "engine" and e.get("name") == "barrier park"]
-    if not parks:
-        return None
-    shards = collections.defaultdict(lambda: [0, 0])  # parks, wait ns
-    for e in parks:
-        entry = shards[e.get("pid", 0) - ENGINE_PID_BASE]
-        entry[0] += 1
-        entry[1] += e["args"]["a0"]
-    rows = []
-    for shard in sorted(shards):
-        n, ns = shards[shard]
-        rows.append([f"shard {shard}", n, f"{ns / 1e6:.2f}",
-                     f"{ns / n / 1e3:.1f}"])
-    total_n = sum(v[0] for v in shards.values())
-    total_ns = sum(v[1] for v in shards.values())
-    rows.append(["total", total_n, f"{total_ns / 1e6:.2f}",
-                 f"{total_ns / max(1, total_n) / 1e3:.1f}"])
-    return fmt_table(["", "parks", "wait ms", "us/park"], rows)
-
-
 def metrics_summary(path, top):
     samples = []
     try:
@@ -186,11 +159,6 @@ def main():
     if links:
         print()
         print(links)
-    barriers = barrier_table(events)
-    if barriers:
-        print()
-        print("engine barrier waits (wall clock, observer-only)")
-        print(barriers)
     if args.metrics:
         print()
         print(metrics_summary(args.metrics, args.top))
